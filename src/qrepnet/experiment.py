@@ -14,28 +14,45 @@ the transport nodes and every ``xi`` upgrades a prefix of it.  Sweeps over
 monotonically with ``xi`` within a draw.  Pairings and establishment orders
 are likewise shared across ``xi`` and across weight mappings, which makes
 curve comparisons paired rather than independent.
+
+Every study reduces over one trial engine, :func:`_sweep`.  It draws each
+pairing, upgrade permutation and establishment order once, routes every
+batch on the static frame of the base network through one route memo, and
+scores each allocated route once through a fidelity memo keyed by the class
+of the route's first transport node and its class counts.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping, MutableMapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
-from .fidelity import NoiseClass, PathComposition, end_to_end_fidelity
+from .fidelity import (
+    MIN_LINK_FIDELITY,
+    MIN_NOISE_RATE,
+    NoiseClass,
+    PathComposition,
+    end_to_end_fidelity,
+)
 from .routing import (
-    PathAllocation,
+    BlockReason,
+    Route,
+    Served,
     WeightMapping,
-    allocate_batch,
+    integer_costs,
+    network_frame,
     noise_aware_mapping,
     noise_unaware_mapping,
-    path_composition,
+    route_table,
+    serve,
     shuffle_requests,
 )
-from .topology import TOPOLOGIES, GRID, NetworkGraph, assign_classes, build_network
+from .topology import TOPOLOGIES, GRID, NetworkGraph, build_network
 
 __all__ = [
     "AWARE",
@@ -116,18 +133,20 @@ class ExperimentConfig:
                 if not 0.0 <= xi <= 1.0:
                     raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
         for name, eta in (("eta_h", self.eta_h), ("eta_l", self.eta_l)):
-            if not 0.5 < eta <= 1.0:
-                raise ValueError(f"{name} must lie in (0.5, 1], got {eta}")
-        if not 0.25 < self.link_fidelity <= 1.0:
+            if not MIN_NOISE_RATE < eta <= 1.0:
+                raise ValueError(f"{name} must lie in ({MIN_NOISE_RATE}, 1], got {eta}")
+        if not MIN_LINK_FIDELITY < self.link_fidelity <= 1.0:
             raise ValueError(
-                f"link fidelity must lie in (0.25, 1], got {self.link_fidelity}"
+                f"link fidelity must lie in ({MIN_LINK_FIDELITY}, 1], got {self.link_fidelity}"
             )
         if not 0.0 <= self.f_bar <= 1.0:
             raise ValueError(f"fidelity threshold must lie in [0, 1], got {self.f_bar}")
         if self.mapping not in MAPPINGS:
             raise ValueError(f"unknown weight mapping {self.mapping!r}")
-        if self.aware_weight <= 0.0:
-            raise ValueError(f"aware weight must be positive, got {self.aware_weight}")
+        if not (isfinite(self.aware_weight) and self.aware_weight > 0.0):
+            raise ValueError(
+                f"aware weight must be positive and finite, got {self.aware_weight}"
+            )
         if self.num_pair_draws < 1 or self.num_class_draws < 1:
             raise ValueError("draw counts must be at least 1")
         if self.seed < 0:
@@ -189,7 +208,7 @@ class RequestOutcome:
     n_h: int
     n_l: int
     fidelity: float | None
-    blocked: object | None
+    blocked: BlockReason | None
 
 
 @dataclass(frozen=True)
@@ -204,96 +223,114 @@ class TrialRecord:
         return sum(1 for o in self.outcomes if o.blocked is not None)
 
 
-def _outcome(
-    graph: NetworkGraph,
-    allocation: PathAllocation,
-    hq: NoiseClass,
-    lq: NoiseClass,
-    link_fidelity: float,
-) -> RequestOutcome:
-    if not allocation.allocated:
-        return RequestOutcome(
-            theta=allocation.request.theta,
-            path_node_count=None,
-            n_h=0,
-            n_l=0,
-            fidelity=None,
-            blocked=allocation.blocked,
-        )
-    # The fidelity is re-evaluated against the classes of ``graph`` rather
-    # than taken from the allocation, so that routes computed on one class
-    # draw can be scored under another (see the fast path in sweep_xi).
-    composition = path_composition(graph, allocation.path)
-    return RequestOutcome(
-        theta=allocation.request.theta,
-        path_node_count=len(allocation.path),
-        n_h=composition.class_counts.get(hq, 0),
-        n_l=composition.class_counts.get(lq, 0),
-        fidelity=end_to_end_fidelity(composition, link_fidelity),
-        blocked=None,
-    )
+def _fidelity_scorer(
+    upgraded: int, memo: dict, hq: NoiseClass, lq: NoiseClass, link_fidelity: float
+) -> Callable[[Route], float]:
+    """Score routes given ``upgraded``, the bitmask of high-quality transport nodes.
 
-
-def _fast_outcome(
-    allocation: PathAllocation,
-    upgraded: frozenset[int],
-    hq: NoiseClass,
-    lq: NoiseClass,
-    num_transport: int,
-    link_fidelity: float,
-) -> RequestOutcome:
-    """Score an allocation against an upgraded-node set without a classed graph.
-
-    Replicates :func:`_outcome` exactly, including the class encounter order
-    along the path, so both code paths produce bit-identical fidelities.
+    A route's fidelity depends only on the class of its first transport node
+    and its class counts: :func:`end_to_end_fidelity` multiplies the class
+    factors in encounter order.  ``memo`` holds one value per such key,
+    computed by that function itself, so every score is bit-identical to
+    scoring the route's :func:`path_composition`.
     """
-    if not allocation.allocated:
-        return RequestOutcome(
-            theta=allocation.request.theta,
-            path_node_count=None,
-            n_h=0,
-            n_l=0,
-            fidelity=None,
-            blocked=allocation.blocked,
-        )
-    counts: dict[NoiseClass, int] = {}
-    for v in allocation.path:
-        if v >= num_transport:
-            continue
-        cls = hq if v in upgraded else lq
-        counts[cls] = counts.get(cls, 0) + 1
-    composition = PathComposition(counts)
-    return RequestOutcome(
-        theta=allocation.request.theta,
-        path_node_count=len(allocation.path),
-        n_h=composition.class_counts.get(hq, 0),
-        n_l=composition.class_counts.get(lq, 0),
-        fidelity=end_to_end_fidelity(composition, link_fidelity),
-        blocked=None,
-    )
+
+    def fidelity(route: Route) -> float:
+        path, _, interior = route
+        n_h = (interior & upgraded).bit_count()
+        key = (upgraded >> path[1] & 1, n_h, len(path) - 2 - n_h)
+        f = memo.get(key)
+        if f is None:
+            first_hq, n_h, n_l = key
+            counts = ((hq, n_h), (lq, n_l)) if first_hq else ((lq, n_l), (hq, n_h))
+            composition = PathComposition({cls: k for cls, k in counts if k})
+            f = memo[key] = end_to_end_fidelity(composition, link_fidelity)
+        return f
+
+    return fidelity
+
+
+def _sweep(
+    config: ExperimentConfig,
+    xi_values: Sequence[float],
+    pairing_indices: Sequence[int] | None = None,
+    class_draws: Sequence[int] | None = None,
+    path_cache: MutableMapping | None = None,
+) -> Iterator[tuple[float, Iterator[tuple[int, Served]]]]:
+    """The trial engine: every batch of a config, grouped by upgrade fraction.
+
+    Yields ``(xi, batches)`` per upgrade fraction in order; ``batches`` yields
+    ``(upgraded, served)`` per (pairing, class draw), pairings outermost,
+    with ``upgraded`` the bitmask of high-quality transport nodes and
+    ``served`` the batch's requests in establishment order (see
+    :func:`~qrepnet.routing.serve`).  Pairings, upgrade permutations and
+    establishment orders are drawn once and shared by every ``xi``.  Routes
+    are memoised in ``path_cache`` (a memo local to the call when ``None``)
+    and scored once each, through one fidelity memo.
+    """
+    seed = config.seed
+    base = _base_graph(config.topology, config.n)
+    frame, _ = network_frame(base)
+    num = base.num_transport
+    pairing_indices = range(config.num_pair_draws) if pairing_indices is None else pairing_indices
+    class_draws = range(config.num_class_draws) if class_draws is None else class_draws
+    upgrade_orders = [
+        [int(v) for v in _class_rng(seed, c).permutation(num)] for c in class_draws
+    ]
+    orders = []
+    for p in pairing_indices:
+        pairs = _pairs(base, draw_pairing(seed, config.n, p))
+        orders.append([
+            [(r.source, r.destination) for r in shuffle_requests(pairs, _shuffle_rng(seed, p, c))]
+            for c in class_draws
+        ])
+    hq, lq = config.hq_class(), config.lq_class()
+    mapping = config.weight_mapping()
+    weights = (mapping(hq.eta), mapping(lq.eta))
+    if min(weights) <= 0.0:
+        raise ValueError(f"weight mapping returned non-positive weight {min(weights)}")
+    cost_h, cost_l = integer_costs(weights)
+    tier = (0,) * (base.num_nodes - num)
+    uniform = (cost_l,) * num + tier
+    memo = {} if path_cache is None else path_cache
+    fidelities: dict = {}
+
+    def batches(k: int) -> Iterator[tuple[int, Served]]:
+        draws = []
+        for upgrade_order in upgrade_orders:
+            upgraded = sum(1 << v for v in upgrade_order[:k])
+            costs = uniform if cost_h == cost_l else tuple(
+                cost_h if upgraded >> v & 1 else cost_l for v in range(num)
+            ) + tier
+            score = _fidelity_scorer(upgraded, fidelities, hq, lq, config.link_fidelity)
+            draws.append((upgraded, route_table(memo, frame, costs), costs, score))
+        for pairing_orders in orders:
+            for pairs, (upgraded, table, costs, score) in zip(pairing_orders, draws):
+                yield upgraded, serve(frame, table, costs, pairs, score, config.f_bar)
+
+    for xi in xi_values:
+        yield xi, batches(round(xi * num))
 
 
 def run_trial(
     config: ExperimentConfig, xi: float, pairing_index: int, class_draw: int
 ) -> TrialRecord:
     """Run one full allocation batch and report the per-request outcomes."""
-    base = _base_graph(config.topology, config.n)
-    hq, lq = config.hq_class(), config.lq_class()
-    classed = assign_classes(base, xi, hq, lq, _class_rng(config.seed, class_draw))
-    permutation = draw_pairing(config.seed, config.n, pairing_index)
-    requests = shuffle_requests(
-        _pairs(base, permutation), _shuffle_rng(config.seed, pairing_index, class_draw)
-    )
-    allocations, _ = allocate_batch(
-        classed, requests, config.weight_mapping(), config.f_bar, config.link_fidelity
-    )
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
+    _, batches = next(_sweep(config, (xi,), (pairing_index,), (class_draw,)))
+    upgraded, served = next(batches)
+    outcomes = []
+    for theta, outcome in enumerate(served, 1):
+        if isinstance(outcome, BlockReason):
+            outcomes.append(RequestOutcome(theta, None, 0, 0, None, outcome))
+            continue
+        route, fidelity = outcome
+        n_h = (route.interior & upgraded).bit_count()
+        swaps = len(route.path) - 2
+        outcomes.append(RequestOutcome(theta, len(route.path), n_h, swaps - n_h, fidelity, None))
     return TrialRecord(
-        xi=xi,
-        pairing_index=pairing_index,
-        class_draw=class_draw,
-        outcomes=tuple(
-            _outcome(classed, a, hq, lq, config.link_fidelity) for a in allocations
-        ),
+        xi=xi, pairing_index=pairing_index, class_draw=class_draw, outcomes=tuple(outcomes)
     )
 
 
@@ -396,7 +433,7 @@ class SweepSummary:
 
 
 class _XiAccumulator:
-    """Collects per-request outcomes for one xi and folds them into stats."""
+    """Collects the served requests of one xi and folds them into stats."""
 
     def __init__(self, xi: float) -> None:
         self.xi = xi
@@ -404,36 +441,40 @@ class _XiAccumulator:
         self.num_blocked = 0
         self.fidelities: list[float] = []
         self.path_nodes: list[int] = []
-        self.by_nodes: dict[int, list[float]] = {}
-        self.by_theta: dict[int, list[float]] = {}
+        self.thetas: list[int] = []
 
-    def add(self, outcome: RequestOutcome) -> None:
-        self.num_requests += 1
-        if outcome.blocked is not None:
-            self.num_blocked += 1
-            return
-        self.fidelities.append(outcome.fidelity)
-        self.path_nodes.append(outcome.path_node_count)
-        self.by_nodes.setdefault(outcome.path_node_count, []).append(outcome.fidelity)
-        self.by_theta.setdefault(outcome.theta, []).append(outcome.fidelity)
+    def add(self, served: Served) -> None:
+        self.num_requests += len(served)
+        for theta, outcome in enumerate(served, 1):
+            if isinstance(outcome, BlockReason):
+                self.num_blocked += 1
+                continue
+            route, fidelity = outcome
+            self.fidelities.append(fidelity)
+            self.path_nodes.append(len(route.path))
+            self.thetas.append(theta)
 
     def summary(self) -> XiSummary:
+        fidelities = np.asarray(self.fidelities, dtype=float)
+
+        def grouped(keys: list[int]) -> dict[int, SampleStats]:
+            # Boolean selection keeps each group's samples in serving order.
+            column = np.asarray(keys)
+            return {
+                int(k): SampleStats.from_samples(fidelities[column == k])
+                for k in np.unique(column)
+            }
+
         return XiSummary(
             xi=self.xi,
             num_requests=self.num_requests,
             num_blocked=self.num_blocked,
-            fidelity=SampleStats.from_samples(self.fidelities) if self.fidelities else None,
+            fidelity=SampleStats.from_samples(fidelities) if self.fidelities else None,
             mean_path_nodes=(
                 float(np.mean(self.path_nodes)) if self.path_nodes else None
             ),
-            by_path_nodes={
-                k: SampleStats.from_samples(v)
-                for k, v in sorted(self.by_nodes.items())
-            },
-            by_theta={
-                k: SampleStats.from_samples(v)
-                for k, v in sorted(self.by_theta.items())
-            },
+            by_path_nodes=grouped(self.path_nodes),
+            by_theta=grouped(self.thetas),
         )
 
 
@@ -455,77 +496,18 @@ def sweep_xi(
 ) -> SweepSummary:
     """Run the full trial grid of a config and aggregate per upgrade fraction.
 
-    With the noise-unaware mapping and a zero fidelity threshold the routing
-    decisions depend on neither the class draw nor ``xi`` (all transport
-    weights are 1 and nothing can fall below the threshold), so each batch is
-    routed once and only the fidelities are re-evaluated per ``xi``.  The
-    general path runs every batch on its classed graph.  Both produce
-    identical records.  ``path_cache`` optionally shares shortest-path
-    memoisation across calls.
+    ``path_cache`` optionally shares route memoisation across calls; its keys
+    fully describe each routing problem, so any sweeps may share one.
     """
     xi_values = config.resolved_xi()
     _warn_off_grid(xi_values, config.n)
-    base = _base_graph(config.topology, config.n)
-    hq, lq = config.hq_class(), config.lq_class()
-    mapping = config.weight_mapping()
-    accumulators = [_XiAccumulator(xi) for xi in xi_values]
-
-    fast = config.mapping == UNAWARE and config.f_bar == 0.0
-    if fast:
-        batches: list[tuple[int, list[PathAllocation]]] = []
-        all_lq = assign_classes(base, 0.0, hq, lq, _class_rng(config.seed, 0))
-        for p in range(config.num_pair_draws):
-            pairs = _pairs(base, draw_pairing(config.seed, config.n, p))
-            for c in range(config.num_class_draws):
-                requests = shuffle_requests(pairs, _shuffle_rng(config.seed, p, c))
-                allocations, _ = allocate_batch(
-                    all_lq, requests, mapping, 0.0, config.link_fidelity, path_cache
-                )
-                batches.append((c, allocations))
-        # One upgrade permutation per class draw; each xi upgrades a prefix of
-        # it, exactly as assign_classes would.
-        orders = [
-            [int(v) for v in _class_rng(config.seed, c).permutation(base.num_transport)]
-            for c in range(config.num_class_draws)
-        ]
-        num_transport = base.num_transport
-        for acc in accumulators:
-            k = round(acc.xi * num_transport)
-            for c, allocations in batches:
-                upgraded = frozenset(orders[c][:k])
-                for allocation in allocations:
-                    acc.add(
-                        _fast_outcome(
-                            allocation,
-                            upgraded,
-                            hq,
-                            lq,
-                            num_transport,
-                            config.link_fidelity,
-                        )
-                    )
-        return SweepSummary(config=config, per_xi=tuple(a.summary() for a in accumulators))
-
-    pairings = [
-        _pairs(base, draw_pairing(config.seed, config.n, p))
-        for p in range(config.num_pair_draws)
-    ]
-    for acc in accumulators:
-        for c in range(config.num_class_draws):
-            classed = assign_classes(base, acc.xi, hq, lq, _class_rng(config.seed, c))
-            for p, pairs in enumerate(pairings):
-                requests = shuffle_requests(pairs, _shuffle_rng(config.seed, p, c))
-                allocations, _ = allocate_batch(
-                    classed,
-                    requests,
-                    mapping,
-                    config.f_bar,
-                    config.link_fidelity,
-                    path_cache,
-                )
-                for allocation in allocations:
-                    acc.add(_outcome(classed, allocation, hq, lq, config.link_fidelity))
-    return SweepSummary(config=config, per_xi=tuple(a.summary() for a in accumulators))
+    per_xi = []
+    for xi, batches in _sweep(config, xi_values, path_cache=path_cache):
+        accumulator = _XiAccumulator(xi)
+        for _, served in batches:
+            accumulator.add(served)
+        per_xi.append(accumulator.summary())
+    return SweepSummary(config=config, per_xi=tuple(per_xi))
 
 
 def sweep_eta_l(
@@ -575,23 +557,16 @@ def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
     profiles: list[ThetaProfile] = []
     for mapping in MAPPINGS:
         cfg = replace(config, mapping=mapping, xi_values=tuple(xi_values))
-        for xi in xi_values:
+        for xi, batches in _sweep(cfg, xi_values):
             samples: dict[int, list[float]] = {t: [] for t in range(1, config.n + 1)}
-            for p in range(cfg.num_pair_draws):
-                for c in range(cfg.num_class_draws):
-                    record = run_trial(cfg, xi, p, c)
-                    for outcome in record.outcomes:
-                        if outcome.blocked is None:
-                            samples[outcome.theta].append(outcome.fidelity)
-            for theta in sorted(samples):
-                profiles.append(
-                    ThetaProfile(
-                        mapping=mapping,
-                        xi=xi,
-                        theta=theta,
-                        fidelities=tuple(samples[theta]),
-                    )
-                )
+            for _, served in batches:
+                for theta, outcome in enumerate(served, 1):
+                    if not isinstance(outcome, BlockReason):
+                        samples[theta].append(outcome[1])
+            profiles.extend(
+                ThetaProfile(mapping=mapping, xi=xi, theta=theta, fidelities=tuple(fidelities))
+                for theta, fidelities in samples.items()
+            )
     return tuple(profiles)
 
 
@@ -610,8 +585,8 @@ def study_blocking(
     """Blocking probability versus xi for several fidelity thresholds.
 
     Runs both weight mappings for every threshold on shared randomness; one
-    path cache is reused across all sweeps since cache keys fully describe
-    the routing problem.
+    route memo is reused across all sweeps since its keys fully describe the
+    routing problem.
     """
     cache: dict = {}
     points: list[BlockingPoint] = []

@@ -10,7 +10,14 @@ Path cost is the sum of the weights of the nodes a path enters after the
 source; tier nodes always weigh zero, transport nodes are weighed by a
 mapping from their noise rate.  Ties in cost resolve to the path whose node
 id sequence is lexicographically smallest, which pins down one deterministic
-route per (residual graph, request) pair.
+route per (residual graph, request) pair.  Costs are compared exactly: the
+weights are scaled to integers first, so equal-cost paths tie whatever the
+order in which their weights are summed.
+
+Routing runs on a static frame of the base network (sorted neighbours, each
+paired with its edge's bit), and a residual network is one int, the mask of
+edges already consumed.  Routes are memoised per (frame, node costs) on
+(source, destination, residual mask).
 """
 
 from __future__ import annotations
@@ -18,13 +25,15 @@ from __future__ import annotations
 from collections.abc import Callable, MutableMapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import pairwise
+from math import inf, isfinite, lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from .fidelity import NoiseClass, PathComposition, end_to_end_fidelity
-from .topology import NetworkGraph, NodeKind
+from .topology import NetworkGraph, NodeKind, build_network
 
 __all__ = [
     "BlockReason",
@@ -42,6 +51,8 @@ __all__ = [
 WeightMapping = Callable[[float], float]
 
 DEFAULT_LQ_WEIGHT = 100.0
+
+_UNROUTED = object()
 
 
 def noise_unaware_mapping() -> WeightMapping:
@@ -131,32 +142,165 @@ def _node_weights(graph: NetworkGraph, mapping: WeightMapping) -> tuple[float, .
     return tuple(weights)
 
 
-def _dijkstra(
-    adjacency: dict[int, set[int]],
-    weights: Sequence[float],
-    source: int,
-    destination: int,
-) -> tuple[int, ...] | None:
-    """Cheapest path by summed entering-node weight, ties broken lexicographically.
+def integer_costs(weights: Sequence[float]) -> tuple[int, ...]:
+    """Scale non-negative finite weights to integers in the same exact ratios.
 
-    Heap entries carry the whole path so that equal-cost pops order by node id
-    sequence; the first time the destination leaves the heap it does so with
-    the minimal (cost, id sequence) pair.
+    Every weight is multiplied by the least common multiple of the
+    denominators of the weights' exact binary fractions, so integer weights
+    map to themselves and path costs compare without rounding.
     """
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
-    visited: set[int] = set()
+    ratios = []
+    for w in weights:
+        if not (isfinite(w) and w >= 0.0):
+            raise ValueError(f"node weight must be finite and non-negative, got {w}")
+        ratios.append(float(w).as_integer_ratio())
+    scale = lcm(*(q for _, q in ratios))
+    return tuple(p * (scale // q) for p, q in ratios)
+
+
+class Route(NamedTuple):
+    """A path with the frame edges it uses and its interior nodes, as bitmasks."""
+
+    path: tuple[int, ...]
+    edges: int
+    interior: int
+
+
+class Frame(NamedTuple):
+    """The static edge structure of a base network.
+
+    ``neighbours[v]`` lists ``(w, bit)`` for every neighbour ``w`` of ``v`` in
+    increasing id order, ``bit`` being the edge's flag in a residual mask;
+    ``edges`` lists every edge once as ``(u, v, bit)``.  ``key`` identifies
+    the network in route memos.
+    """
+
+    key: tuple[str, int]
+    edges: tuple[tuple[int, int, int], ...]
+    neighbours: tuple[tuple[tuple[int, int], ...], ...]
+
+
+@lru_cache(maxsize=8)
+def _base_frame(topology: str, n: int) -> Frame:
+    graph = build_network(topology, n)
+    bits = {edge: 1 << i for i, edge in enumerate(graph.edges())}
+    neighbours = tuple(
+        tuple((w, bits[(v, w) if v < w else (w, v)]) for w in sorted(graph.adjacency[v]))
+        for v in range(graph.num_nodes)
+    )
+    return Frame((topology, n), tuple((u, v, bit) for (u, v), bit in bits.items()), neighbours)
+
+
+def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
+    """The frame of a graph's base network and the mask of base edges it lacks.
+
+    The base network is the one ``build_network`` gives for the graph's
+    topology and width; the graph must be a subgraph of it.
+    """
+    frame = _base_frame(graph.topology, graph.n)
+    if len(frame.neighbours) == graph.num_nodes:
+        adjacency = graph.adjacency
+        missing = kept = 0
+        for u, v, bit in frame.edges:
+            if v in adjacency[u]:
+                kept += 1
+            else:
+                missing |= bit
+        if kept == graph.num_edges:
+            return frame, missing
+    raise ValueError("graph is not a subgraph of its base network")
+
+
+def route_table(memo: MutableMapping, frame: Frame, costs: tuple[int, ...]) -> dict:
+    """The routes memoised for one frame under one set of node costs."""
+    key = (frame.key, costs)
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = {}
+    return table
+
+
+def cheapest_route(
+    frame: Frame, costs: Sequence[int], source: int, destination: int, used: int
+) -> Route | None:
+    """Cheapest path over the edges not in ``used``, ties to the smallest id sequence.
+
+    A reverse Dijkstra from the destination settles the exact cost to go of
+    every node up to the source.  A walk from the source then steps, at each
+    node, to the smallest-id neighbour that stays on a cheapest path.  The
+    lexicographically smallest cheapest path starts with the smallest such
+    neighbour and continues with the smallest cheapest path from it, so the
+    walk finds it.  Transport costs must be positive: cost to go then falls
+    strictly along the walk, which keeps it simple.
+    """
+    neighbours = frame.neighbours
+    togo: list[float] = [inf] * len(neighbours)
+    togo[destination] = 0
+    heap = [(0, destination)]
     while heap:
-        cost, path = heappop(heap)
-        tail = path[-1]
-        if tail == destination:
-            return path
-        if tail in visited:
+        cost, u = heappop(heap)
+        if u == source:
+            break
+        if cost > togo[u]:
             continue
-        visited.add(tail)
-        for nxt in sorted(adjacency[tail]):
-            if nxt not in visited:
-                heappush(heap, (cost + weights[nxt], path + (nxt,)))
-    return None
+        via = cost + costs[u]
+        for w, bit in neighbours[u]:
+            if via < togo[w] and not used & bit:
+                togo[w] = via
+                heappush(heap, (via, w))
+    else:
+        return None
+    path = [source]
+    edges = interior = 0
+    v = source
+    while v != destination:
+        left = togo[v]
+        for w, bit in neighbours[v]:
+            if togo[w] + costs[w] == left and not used & bit:
+                break
+        path.append(w)
+        edges |= bit
+        if w != destination:
+            interior |= 1 << w
+        v = w
+    return Route(tuple(path), edges, interior)
+
+
+# Per request of a batch: its block reason, or its route and fidelity.
+Served = list[BlockReason | tuple[Route, float]]
+
+
+def serve(
+    frame: Frame,
+    table: dict,
+    costs: tuple[int, ...],
+    pairs: Sequence[tuple[int, int]],
+    fidelity: Callable[[Route], float],
+    fidelity_threshold: float,
+    used: int = 0,
+) -> Served:
+    """Serve source-destination pairs in order on the residual network ``used``.
+
+    Each request yields its block reason, or its route and fidelity when the
+    route clears the threshold and consumes its edges.  ``table`` memoises
+    routes across calls with the same frame and costs.
+    """
+    served: Served = []
+    for source, destination in pairs:
+        key = (source, destination, used)
+        route = table.get(key, _UNROUTED)
+        if route is _UNROUTED:
+            route = table[key] = cheapest_route(frame, costs, source, destination, used)
+        if route is None:
+            served.append(BlockReason.NO_PATH)
+            continue
+        f = fidelity(route)
+        if f < fidelity_threshold:
+            served.append(BlockReason.BELOW_THRESHOLD)
+            continue
+        used |= route.edges
+        served.append((route, f))
+    return served
 
 
 def shortest_path(
@@ -168,7 +312,10 @@ def shortest_path(
     """Minimum-weight path between two nodes, or ``None`` if disconnected."""
     if source == destination:
         raise ValueError("source and destination must differ")
-    return _dijkstra(graph.adjacency, _node_weights(graph, mapping), source, destination)
+    frame, used = network_frame(graph)
+    costs = integer_costs(_node_weights(graph, mapping))
+    route = cheapest_route(frame, costs, source, destination, used)
+    return None if route is None else route.path
 
 
 def path_composition(graph: NetworkGraph, path: Sequence[int]) -> PathComposition:
@@ -192,57 +339,37 @@ def allocate_batch(
     link_fidelity: float,
     path_cache: MutableMapping | None = None,
 ) -> tuple[list[PathAllocation], int]:
-    """Serve the requests in establishment order on a private residual copy.
+    """Serve the requests in establishment order on a residual view of ``graph``.
 
     Returns the allocations in establishment order together with the number
     of blocked requests.  ``graph`` itself is never mutated.  An optional
-    ``path_cache`` memoises shortest paths across calls, keyed by the node
-    weights, the endpoints and the set of already-consumed edges; callers may
-    share one cache between batches with identical graphs.
+    ``path_cache`` memoises shortest paths across calls, keyed by the graph's
+    base network, the node weights, the endpoints and the edges missing from
+    the residual network (whether absent from ``graph`` or consumed); callers
+    may share one cache between any batches.
     """
     thetas = sorted(r.theta for r in requests)
     if thetas != list(range(1, len(requests) + 1)):
         raise ValueError("request thetas must be exactly 1..P")
 
-    weights = _node_weights(graph, mapping)
-    residual = graph.copy()
-    consumed: list[tuple[int, int]] = []
-    allocations: list[PathAllocation] = []
-    blocked = 0
-    for request in sorted(requests, key=lambda r: r.theta):
-        if path_cache is None:
-            path = _dijkstra(residual.adjacency, weights, request.source, request.destination)
-        else:
-            key = (
-                graph.topology,
-                graph.n,
-                weights,
-                request.source,
-                request.destination,
-                frozenset(consumed),
-            )
-            try:
-                path = path_cache[key]
-            except KeyError:
-                path = _dijkstra(
-                    residual.adjacency, weights, request.source, request.destination
-                )
-                path_cache[key] = path
-        if path is None:
-            allocations.append(
-                PathAllocation(request, None, None, BlockReason.NO_PATH)
-            )
-            blocked += 1
-            continue
-        fidelity = end_to_end_fidelity(path_composition(residual, path), link_fidelity)
-        if fidelity >= fidelity_threshold:
-            for u, v in pairwise(path):
-                residual.remove_edge(u, v)
-                consumed.append((u, v) if u < v else (v, u))
-            allocations.append(PathAllocation(request, path, fidelity, None))
-        else:
-            allocations.append(
-                PathAllocation(request, None, None, BlockReason.BELOW_THRESHOLD)
-            )
-            blocked += 1
+    frame, used = network_frame(graph)
+    costs = integer_costs(_node_weights(graph, mapping))
+    table = {} if path_cache is None else route_table(path_cache, frame, costs)
+    ordered = sorted(requests, key=lambda r: r.theta)
+    served = serve(
+        frame,
+        table,
+        costs,
+        [(r.source, r.destination) for r in ordered],
+        lambda route: end_to_end_fidelity(path_composition(graph, route.path), link_fidelity),
+        fidelity_threshold,
+        used,
+    )
+    allocations = [
+        PathAllocation(request, None, None, outcome)
+        if isinstance(outcome, BlockReason)
+        else PathAllocation(request, outcome[0].path, outcome[1], None)
+        for request, outcome in zip(ordered, served)
+    ]
+    blocked = sum(1 for a in allocations if a.blocked is not None)
     return allocations, blocked

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import time
 
 import pytest
 
@@ -179,3 +180,15 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_large_network_smoke_run_stays_fast(tmp_path):
+    """An n=12 blocking run finishes well inside a generous budget."""
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    args = ["blocking", "--n", "12", "--pair-draws", "1", "--class-draws", "2",
+            "--xi-step", "0.25", "--out-dir", out]
+    assert run(args) == 0
+    assert time.perf_counter() - start < 20.0
+    rows = read_rows(out / "blocking_vs_xi.csv")
+    assert len(rows) == 1 + 2 * 3 * 5

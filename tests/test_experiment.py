@@ -21,9 +21,15 @@ from qrepnet import (
     study_blocking,
     study_noise_awareness,
     sweep_eta_l,
+    assign_classes,
+    build_network,
+    end_to_end_fidelity,
+    path_composition,
     sweep_xi,
     two_class_fidelity,
 )
+from qrepnet.experiment import _fidelity_scorer
+from qrepnet.routing import cheapest_route, network_frame
 
 SMALL = ExperimentConfig(
     topology=CYLINDER, num_pair_draws=2, num_class_draws=10, xi_values=(0.0, 0.4, 0.8, 1.0)
@@ -53,6 +59,9 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(xi_values=(0.5, 1.2))
+    for weight in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ExperimentConfig(aware_weight=weight)
 
 
 def test_draw_pairing_is_a_bijection_and_reproducible():
@@ -248,6 +257,47 @@ def test_eta_sweep_shares_randomness():
         # the sample counts line up and the better rate dominates.
         assert strong[xi].fidelity.count == weak[xi].fidelity.count
         assert strong[xi].fidelity.mean >= weak[xi].fidelity.mean - 1e-12
+
+
+def test_memoised_scorer_equals_scoring_the_composition():
+    """The (first class, n_h, n_l) fidelity memo is exact, not approximate.
+
+    ``end_to_end_fidelity`` multiplies class factors in the order the path
+    meets the classes, so routes that meet a high-quality node first and
+    routes that meet a low-quality node first must both reproduce it bit
+    for bit, on a memo miss and on a hit.
+    """
+    cfg = ExperimentConfig(topology=CYLINDER, n=5)
+    hq, lq = cfg.hq_class(), cfg.lq_class()
+    rng = np.random.default_rng(404)
+    base = build_network(CYLINDER, 5)
+    frame, _ = network_frame(base)
+    memo = {}
+    firsts = set()
+    for xi in (0.2, 0.48, 0.76):
+        classed = assign_classes(base, xi, hq, lq, rng)
+        upgraded = sum(1 << v for v in base.transport_ids if classed.classes[v] == hq)
+        score = _fidelity_scorer(upgraded, memo, hq, lq, cfg.link_fidelity)
+        for _ in range(60):
+            costs = tuple(int(c) for c in rng.integers(1, 9, base.num_transport)) + (0,) * 10
+            source = base.source_id(int(rng.integers(5)))
+            destination = base.destination_id(int(rng.integers(5)))
+            route = cheapest_route(frame, costs, source, destination, 0)
+            want = end_to_end_fidelity(path_composition(classed, route.path), cfg.link_fidelity)
+            assert score(route) == want
+            assert score(route) == want
+            firsts.add(classed.classes[route.path[1]])
+    assert firsts == {hq, lq}
+
+
+def test_shared_path_cache_changes_nothing():
+    cfg = replace(SMALL, mapping=AWARE, num_class_draws=4)
+    shared = {}
+    for f_bar in (0.0, 0.3, 0.0):
+        fresh = sweep_xi(replace(cfg, f_bar=f_bar))
+        cached = sweep_xi(replace(cfg, f_bar=f_bar), path_cache=shared)
+        assert cached.per_xi == fresh.per_xi
+    assert shared
 
 
 def test_stats_helpers():

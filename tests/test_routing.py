@@ -1,6 +1,8 @@
 """Tests for node-weighted shortest paths and sequential batch allocation."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -23,6 +25,7 @@ from qrepnet import (
     shuffle_requests,
     two_class_fidelity,
 )
+from qrepnet.routing import integer_costs
 from qrepnet.topology import NodeKind
 
 HQ = NoiseClass("HQ", 0.999)
@@ -36,16 +39,17 @@ def all_lq(topology, n):
 
 
 def node_weight(graph, v, mapping):
+    """The exact weight of a node, as a fraction, so path costs sum without rounding."""
     if graph.kinds[v] is not NodeKind.TRANSPORT:
-        return 0.0
-    return mapping(graph.classes[v].eta)
+        return Fraction(0)
+    return Fraction(mapping(graph.classes[v].eta))
 
 
 def brute_force_best(graph, source, destination, mapping):
     """Minimum (cost, path) over all simple paths, or None if disconnected.
 
-    Exhaustive reference for the heap-based search: cost is the summed
-    weight of the nodes entered after the source, ties resolved by the
+    Exhaustive reference for the router: cost is the exact sum of the
+    weights of the nodes entered after the source, ties resolved by the
     lexicographically smallest node id sequence.
     """
     G = nx.Graph(list(graph.edges()))
@@ -98,7 +102,7 @@ def test_shortest_path_matches_brute_force_on_random_residuals():
         edges = list(g.edges())
         for u, v in (edges[i] for i in rng.choice(len(edges), size=6, replace=False)):
             g.remove_edge(u, v)
-        for mapping in (UNIT, noise_aware_mapping(LQ.eta)):
+        for mapping in (UNIT, noise_aware_mapping(LQ.eta), noise_aware_mapping(LQ.eta, 0.1)):
             for row in range(3):
                 got = shortest_path(g, g.source_id(row), g.destination_id(row), mapping)
                 want = brute_force_best(g, g.source_id(row), g.destination_id(row), mapping)
@@ -107,6 +111,29 @@ def test_shortest_path_matches_brute_force_on_random_residuals():
                 else:
                     cost = sum(node_weight(g, v, mapping) for v in got[1:])
                     assert (cost, got) == want
+
+
+def test_non_integer_weights_break_ties_exactly():
+    """Equal-cost paths tie exactly whatever order their weights are summed in.
+
+    With weight 0.1 on low-quality nodes, float sums of the same weights in a
+    different order can differ in the last bit; the router must still pick
+    the lexicographically smallest of the exactly cheapest paths.
+    """
+    aware = noise_aware_mapping(LQ.eta, 0.1)
+    base = build_network(GRID, 3)
+    for seed in range(100):
+        rng = random.Random(seed)
+        g = base.with_classes(
+            {v: (HQ if rng.random() < 0.5 else LQ) for v in base.transport_ids}
+        )
+        for source in g.source_ids:
+            for destination in g.destination_ids:
+                got = shortest_path(g, source, destination, aware)
+                assert got == brute_force_best(g, source, destination, aware)[1]
+                if seed == 9 and (source, destination) == (10, 14):
+                    # Float summation ranks (10, 3, 6, 7, 8, 14) first here.
+                    assert got == (10, 3, 4, 5, 8, 14)
 
 
 def test_shortest_path_rejects_equal_endpoints():
@@ -291,6 +318,39 @@ def test_shared_cache_is_safe_across_topologies():
         results[topology] = with_shared[0].path
     # The wrap edge gives the cylinder a strictly shorter crossing.
     assert len(results[CYLINDER]) < len(results[GRID])
+
+
+def test_path_cache_is_keyed_on_the_input_edge_set():
+    """A route cached on the full grid must not be reused on a graph lacking its edges."""
+    g = all_lq(GRID, 3)
+    reqs = [RoutingRequest(g.source_id(0), g.destination_id(0), 1)]
+    cache = {}
+    full, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975, path_cache=cache)
+    assert full[0].path == (9, 0, 1, 2, 12)
+    cut = g.copy()
+    cut.remove_edge(0, 1)
+    cached, _ = allocate_batch(cut, reqs, UNIT, 0.0, 0.975, path_cache=cache)
+    fresh, _ = allocate_batch(cut, reqs, UNIT, 0.0, 0.975)
+    assert cached == fresh
+    assert cached[0].path == (9, 0, 3, 4, 1, 2, 12)
+
+
+def test_routing_rejects_edges_outside_the_base_network():
+    g = all_lq(GRID, 2)
+    g.adjacency[4].add(7)
+    g.adjacency[7].add(4)
+    with pytest.raises(ValueError, match="subgraph"):
+        shortest_path(g, 4, 7, UNIT)
+
+
+def test_integer_costs_are_exact_and_keep_integer_weights():
+    assert integer_costs((0.0, 1.0, 100.0)) == (0, 1, 100)
+    costs = integer_costs((0.0, 1.0, 0.1))
+    assert all(isinstance(c, int) for c in costs)
+    assert Fraction(costs[2], costs[1]) == Fraction(0.1)
+    for bad in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            integer_costs((1.0, bad))
 
 
 def test_batch_is_deterministic():
