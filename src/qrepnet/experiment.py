@@ -16,40 +16,31 @@ are likewise shared across ``xi`` and across weight mappings, which makes
 curve comparisons paired rather than independent.
 
 Every study reduces over one trial engine, :func:`_sweep`.  It draws each
-pairing, upgrade permutation and establishment order once, routes every
-batch on the static frame of the base network through one route memo, and
-scores each allocated route once through a fidelity memo keyed by the class
-of the route's first transport node and its class counts.
+pairing, upgrade permutation and establishment order once, and serves every
+batch with :func:`~qrepnet.routing.allocate_batch` through one memo, which
+holds the routes, each class draw's node costs and the fidelity of each
+class sequence a route can meet, so each allocated route is scored once.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isfinite
 
 import numpy as np
 
-from .fidelity import (
-    MIN_LINK_FIDELITY,
-    MIN_NOISE_RATE,
-    NoiseClass,
-    PathComposition,
-    end_to_end_fidelity,
-)
+from .fidelity import MIN_LINK_FIDELITY, MIN_NOISE_RATE, NoiseClass
 from .routing import (
     BlockReason,
-    Route,
-    Served,
+    PathAllocation,
     WeightMapping,
-    integer_costs,
-    network_frame,
+    allocate_batch,
     noise_aware_mapping,
     noise_unaware_mapping,
-    route_table,
-    serve,
+    path_composition,
     shuffle_requests,
 )
 from .topology import TOPOLOGIES, GRID, NetworkGraph, build_network
@@ -223,54 +214,27 @@ class TrialRecord:
         return sum(1 for o in self.outcomes if o.blocked is not None)
 
 
-def _fidelity_scorer(
-    upgraded: int, memo: dict, hq: NoiseClass, lq: NoiseClass, link_fidelity: float
-) -> Callable[[Route], float]:
-    """Score routes given ``upgraded``, the bitmask of high-quality transport nodes.
-
-    A route's fidelity depends only on the class of its first transport node
-    and its class counts: :func:`end_to_end_fidelity` multiplies the class
-    factors in encounter order.  ``memo`` holds one value per such key,
-    computed by that function itself, so every score is bit-identical to
-    scoring the route's :func:`path_composition`.
-    """
-
-    def fidelity(route: Route) -> float:
-        path, _, interior = route
-        n_h = (interior & upgraded).bit_count()
-        key = (upgraded >> path[1] & 1, n_h, len(path) - 2 - n_h)
-        f = memo.get(key)
-        if f is None:
-            first_hq, n_h, n_l = key
-            counts = ((hq, n_h), (lq, n_l)) if first_hq else ((lq, n_l), (hq, n_h))
-            composition = PathComposition({cls: k for cls, k in counts if k})
-            f = memo[key] = end_to_end_fidelity(composition, link_fidelity)
-        return f
-
-    return fidelity
-
-
 def _sweep(
     config: ExperimentConfig,
     xi_values: Sequence[float],
     pairing_indices: Sequence[int] | None = None,
     class_draws: Sequence[int] | None = None,
     path_cache: MutableMapping | None = None,
-) -> Iterator[tuple[float, Iterator[tuple[int, Served]]]]:
+) -> Iterator[tuple[float, Iterator[tuple[NetworkGraph, list[PathAllocation]]]]]:
     """The trial engine: every batch of a config, grouped by upgrade fraction.
 
     Yields ``(xi, batches)`` per upgrade fraction in order; ``batches`` yields
-    ``(upgraded, served)`` per (pairing, class draw), pairings outermost,
-    with ``upgraded`` the bitmask of high-quality transport nodes and
-    ``served`` the batch's requests in establishment order (see
-    :func:`~qrepnet.routing.serve`).  Pairings, upgrade permutations and
-    establishment orders are drawn once and shared by every ``xi``.  Routes
-    are memoised in ``path_cache`` (a memo local to the call when ``None``)
-    and scored once each, through one fidelity memo.
+    ``(graph, allocations)`` per (pairing, class draw), pairings outermost,
+    with ``graph`` the classed network and ``allocations`` the batch served
+    by :func:`~qrepnet.routing.allocate_batch`.  Pairings, upgrade
+    permutations and establishment orders are drawn once and shared by every
+    ``xi``.  All batches of one (xi, class draw) share one class tuple and
+    are served one after another, so node costs are evaluated once per
+    class draw; routes and fidelities are memoised in ``path_cache`` (a memo
+    local to the call when ``None``).
     """
     seed = config.seed
     base = _base_graph(config.topology, config.n)
-    frame, _ = network_frame(base)
     num = base.num_transport
     pairing_indices = range(config.num_pair_draws) if pairing_indices is None else pairing_indices
     class_draws = range(config.num_class_draws) if class_draws is None else class_draws
@@ -280,33 +244,28 @@ def _sweep(
     orders = []
     for p in pairing_indices:
         pairs = _pairs(base, draw_pairing(seed, config.n, p))
-        orders.append([
-            [(r.source, r.destination) for r in shuffle_requests(pairs, _shuffle_rng(seed, p, c))]
-            for c in class_draws
-        ])
+        orders.append([shuffle_requests(pairs, _shuffle_rng(seed, p, c)) for c in class_draws])
     hq, lq = config.hq_class(), config.lq_class()
     mapping = config.weight_mapping()
-    weights = (mapping(hq.eta), mapping(lq.eta))
-    if min(weights) <= 0.0:
-        raise ValueError(f"weight mapping returned non-positive weight {min(weights)}")
-    cost_h, cost_l = integer_costs(weights)
-    tier = (0,) * (base.num_nodes - num)
-    uniform = (cost_l,) * num + tier
+    tiers = base.classes[num:]
     memo = {} if path_cache is None else path_cache
-    fidelities: dict = {}
 
-    def batches(k: int) -> Iterator[tuple[int, Served]]:
-        draws = []
-        for upgrade_order in upgrade_orders:
-            upgraded = sum(1 << v for v in upgrade_order[:k])
-            costs = uniform if cost_h == cost_l else tuple(
-                cost_h if upgraded >> v & 1 else cost_l for v in range(num)
-            ) + tier
-            score = _fidelity_scorer(upgraded, fidelities, hq, lq, config.link_fidelity)
-            draws.append((upgraded, route_table(memo, frame, costs), costs, score))
-        for pairing_orders in orders:
-            for pairs, (upgraded, table, costs, score) in zip(pairing_orders, draws):
-                yield upgraded, serve(frame, table, costs, pairs, score, config.f_bar)
+    def batches(k: int) -> Iterator[tuple[NetworkGraph, list[PathAllocation]]]:
+        # Served class draw by class draw, so consecutive batches share their
+        # graph's node costs, and yielded pairings outermost.
+        served = [[] for _ in orders]
+        for c, upgrade_order in enumerate(upgrade_orders):
+            classes = [lq] * num
+            for v in upgrade_order[:k]:
+                classes[v] = hq
+            graph = replace(base, classes=tuple(classes) + tiers)
+            for pairing_orders, pairing_served in zip(orders, served):
+                allocations, _ = allocate_batch(
+                    graph, pairing_orders[c], mapping, config.f_bar, config.link_fidelity, memo
+                )
+                pairing_served.append((graph, allocations))
+        for pairing_served in served:
+            yield from pairing_served
 
     for xi in xi_values:
         yield xi, batches(round(xi * num))
@@ -319,16 +278,18 @@ def run_trial(
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
     _, batches = next(_sweep(config, (xi,), (pairing_index,), (class_draw,)))
-    upgraded, served = next(batches)
+    graph, allocations = next(batches)
+    hq, lq = config.hq_class(), config.lq_class()
     outcomes = []
-    for theta, outcome in enumerate(served, 1):
-        if isinstance(outcome, BlockReason):
-            outcomes.append(RequestOutcome(theta, None, 0, 0, None, outcome))
+    for a in allocations:
+        theta = a.request.theta
+        if a.path is None:
+            outcomes.append(RequestOutcome(theta, None, 0, 0, None, a.blocked))
             continue
-        route, fidelity = outcome
-        n_h = (route.interior & upgraded).bit_count()
-        swaps = len(route.path) - 2
-        outcomes.append(RequestOutcome(theta, len(route.path), n_h, swaps - n_h, fidelity, None))
+        counts = path_composition(graph, a.path).class_counts
+        outcomes.append(RequestOutcome(
+            theta, len(a.path), counts.get(hq, 0), counts.get(lq, 0), a.fidelity, None
+        ))
     return TrialRecord(
         xi=xi, pairing_index=pairing_index, class_draw=class_draw, outcomes=tuple(outcomes)
     )
@@ -443,16 +404,15 @@ class _XiAccumulator:
         self.path_nodes: list[int] = []
         self.thetas: list[int] = []
 
-    def add(self, served: Served) -> None:
-        self.num_requests += len(served)
-        for theta, outcome in enumerate(served, 1):
-            if isinstance(outcome, BlockReason):
+    def add(self, allocations: Sequence[PathAllocation]) -> None:
+        self.num_requests += len(allocations)
+        for a in allocations:
+            if a.path is None:
                 self.num_blocked += 1
                 continue
-            route, fidelity = outcome
-            self.fidelities.append(fidelity)
-            self.path_nodes.append(len(route.path))
-            self.thetas.append(theta)
+            self.fidelities.append(a.fidelity)
+            self.path_nodes.append(len(a.path))
+            self.thetas.append(a.request.theta)
 
     def summary(self) -> XiSummary:
         fidelities = np.asarray(self.fidelities, dtype=float)
@@ -504,8 +464,8 @@ def sweep_xi(
     per_xi = []
     for xi, batches in _sweep(config, xi_values, path_cache=path_cache):
         accumulator = _XiAccumulator(xi)
-        for _, served in batches:
-            accumulator.add(served)
+        for _, allocations in batches:
+            accumulator.add(allocations)
         per_xi.append(accumulator.summary())
     return SweepSummary(config=config, per_xi=tuple(per_xi))
 
@@ -559,10 +519,10 @@ def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
         cfg = replace(config, mapping=mapping, xi_values=tuple(xi_values))
         for xi, batches in _sweep(cfg, xi_values):
             samples: dict[int, list[float]] = {t: [] for t in range(1, config.n + 1)}
-            for _, served in batches:
-                for theta, outcome in enumerate(served, 1):
-                    if not isinstance(outcome, BlockReason):
-                        samples[theta].append(outcome[1])
+            for _, allocations in batches:
+                for a in allocations:
+                    if a.path is not None:
+                        samples[a.request.theta].append(a.fidelity)
             profiles.extend(
                 ThetaProfile(mapping=mapping, xi=xi, theta=theta, fidelities=tuple(fidelities))
                 for theta, fidelities in samples.items()

@@ -17,17 +17,19 @@ order in which their weights are summed.
 Routing runs on a static frame of the base network (sorted neighbours, each
 paired with its edge's bit), and a residual network is one int, the mask of
 edges already consumed.  Routes are memoised per (frame, node costs) on
-(source, destination, residual mask).
+(source, destination, residual mask), and fidelities per class palette on
+the sequence of classes a route meets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, MutableMapping, Sequence
+from collections.abc import Callable, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import inf, isfinite, lcm
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +55,8 @@ WeightMapping = Callable[[float], float]
 DEFAULT_LQ_WEIGHT = 100.0
 
 _UNROUTED = object()
+
+_theta = attrgetter("theta")
 
 
 def noise_unaware_mapping() -> WeightMapping:
@@ -97,8 +101,7 @@ class RoutingRequest:
     theta: int
 
 
-@dataclass(frozen=True)
-class PathAllocation:
+class PathAllocation(NamedTuple):
     """Outcome of serving one request: an allocated path or a block reason."""
 
     request: RoutingRequest
@@ -125,21 +128,34 @@ def shuffle_requests(
     ]
 
 
-def _node_weights(graph: NetworkGraph, mapping: WeightMapping) -> tuple[float, ...]:
-    """Evaluate the weight of every node; tier nodes weigh zero."""
-    weights = []
-    for v in range(graph.num_nodes):
-        if graph.kinds[v] is not NodeKind.TRANSPORT:
-            weights.append(0.0)
-            continue
-        cls = graph.classes[v]
-        if cls is None:
-            raise ValueError(f"transport node {v} has no noise class assigned")
+def _palette(graph: NetworkGraph) -> tuple[tuple[NoiseClass, ...], tuple[int, ...]]:
+    """A graph's distinct transport classes and every node's code into them.
+
+    The palette lists the class objects of the transport nodes by identity,
+    in node order; a node's code is ``i`` for ``palette[i - 1]`` and 0 for
+    a tier node.
+    """
+    transport = graph.classes[: graph.num_transport]
+    ids = tuple(map(id, transport))
+    if id(None) in ids:
+        raise ValueError(f"transport node {ids.index(id(None))} has no noise class assigned")
+    by_id = dict(zip(ids, transport))
+    code_of = {i: code for code, i in enumerate(by_id, 1)}
+    codes = tuple(map(code_of.__getitem__, ids)) + (0,) * (graph.num_nodes - len(ids))
+    return tuple(by_id.values()), codes
+
+
+def _node_costs(
+    mapping: WeightMapping, palette: Sequence[NoiseClass], codes: Sequence[int]
+) -> tuple[int, ...]:
+    """Every node's exact integer cost; the mapping is evaluated once per class."""
+    weights = [0.0]
+    for cls in palette:
         w = mapping(cls.eta)
         if w <= 0.0:
-            raise ValueError(f"weight mapping returned non-positive weight {w} for node {v}")
+            raise ValueError(f"weight mapping returned non-positive weight {w} for {cls.label}")
         weights.append(float(w))
-    return tuple(weights)
+    return tuple(map(integer_costs(weights).__getitem__, codes))
 
 
 def integer_costs(weights: Sequence[float]) -> tuple[int, ...]:
@@ -159,11 +175,10 @@ def integer_costs(weights: Sequence[float]) -> tuple[int, ...]:
 
 
 class Route(NamedTuple):
-    """A path with the frame edges it uses and its interior nodes, as bitmasks."""
+    """A path with the frame edges it uses, as a bitmask."""
 
     path: tuple[int, ...]
     edges: int
-    interior: int
 
 
 class Frame(NamedTuple):
@@ -172,12 +187,13 @@ class Frame(NamedTuple):
     ``neighbours[v]`` lists ``(w, bit)`` for every neighbour ``w`` of ``v`` in
     increasing id order, ``bit`` being the edge's flag in a residual mask;
     ``edges`` lists every edge once as ``(u, v, bit)``.  ``key`` identifies
-    the network in route memos.
+    the network in route memos, and ``adjacency`` is the base network's own.
     """
 
     key: tuple[str, int]
     edges: tuple[tuple[int, int, int], ...]
     neighbours: tuple[tuple[tuple[int, int], ...], ...]
+    adjacency: Mapping[int, set[int]]
 
 
 @lru_cache(maxsize=8)
@@ -188,7 +204,12 @@ def _base_frame(topology: str, n: int) -> Frame:
         tuple((w, bits[(v, w) if v < w else (w, v)]) for w in sorted(graph.adjacency[v]))
         for v in range(graph.num_nodes)
     )
-    return Frame((topology, n), tuple((u, v, bit) for (u, v), bit in bits.items()), neighbours)
+    return Frame(
+        (topology, n),
+        tuple((u, v, bit) for (u, v), bit in bits.items()),
+        neighbours,
+        graph.adjacency,
+    )
 
 
 def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
@@ -198,8 +219,10 @@ def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
     topology and width; the graph must be a subgraph of it.
     """
     frame = _base_frame(graph.topology, graph.n)
+    adjacency = graph.adjacency
+    if adjacency == frame.adjacency:
+        return frame, 0
     if len(frame.neighbours) == graph.num_nodes:
-        adjacency = graph.adjacency
         missing = kept = 0
         for u, v, bit in frame.edges:
             if v in adjacency[u]:
@@ -209,15 +232,6 @@ def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
         if kept == graph.num_edges:
             return frame, missing
     raise ValueError("graph is not a subgraph of its base network")
-
-
-def route_table(memo: MutableMapping, frame: Frame, costs: tuple[int, ...]) -> dict:
-    """The routes memoised for one frame under one set of node costs."""
-    key = (frame.key, costs)
-    table = memo.get(key)
-    if table is None:
-        table = memo[key] = {}
-    return table
 
 
 def cheapest_route(
@@ -251,7 +265,7 @@ def cheapest_route(
     else:
         return None
     path = [source]
-    edges = interior = 0
+    edges = 0
     v = source
     while v != destination:
         left = togo[v]
@@ -260,47 +274,94 @@ def cheapest_route(
                 break
         path.append(w)
         edges |= bit
-        if w != destination:
-            interior |= 1 << w
         v = w
-    return Route(tuple(path), edges, interior)
+    return Route(tuple(path), edges)
 
 
-# Per request of a batch: its block reason, or its route and fidelity.
-Served = list[BlockReason | tuple[Route, float]]
+def _fidelity_scorer(
+    palette: Sequence[NoiseClass], codes: Sequence[int], link_fidelity: float, memo: dict
+) -> Callable[[Route], float]:
+    """Score routes through a memo keyed by the class codes along the route.
 
-
-def serve(
-    frame: Frame,
-    table: dict,
-    costs: tuple[int, ...],
-    pairs: Sequence[tuple[int, int]],
-    fidelity: Callable[[Route], float],
-    fidelity_threshold: float,
-    used: int = 0,
-) -> Served:
-    """Serve source-destination pairs in order on the residual network ``used``.
-
-    Each request yields its block reason, or its route and fidelity when the
-    route clears the threshold and consumes its edges.  ``table`` memoises
-    routes across calls with the same frame and costs.
+    A route's fidelity depends only on the classes it meets, in order:
+    :func:`end_to_end_fidelity` multiplies the class factors in encounter
+    order.  Each memo value is computed by that function from the
+    composition :func:`path_composition` would give, so every score is
+    bit-identical to scoring the route directly.  Graphs with the same
+    palette and link fidelity may share ``memo``.
     """
-    served: Served = []
-    for source, destination in pairs:
-        key = (source, destination, used)
-        route = table.get(key, _UNROUTED)
-        if route is _UNROUTED:
-            route = table[key] = cheapest_route(frame, costs, source, destination, used)
-        if route is None:
-            served.append(BlockReason.NO_PATH)
-            continue
-        f = fidelity(route)
-        if f < fidelity_threshold:
-            served.append(BlockReason.BELOW_THRESHOLD)
-            continue
-        used |= route.edges
-        served.append((route, f))
-    return served
+    code_of = codes.__getitem__
+
+    def fidelity(route: Route) -> float:
+        key = tuple(map(code_of, route.path))
+        f = memo.get(key)
+        if f is None:
+            counts: dict[NoiseClass, int] = {}
+            for code in key:
+                if code:
+                    cls = palette[code - 1]
+                    counts[cls] = counts.get(cls, 0) + 1
+            f = memo[key] = end_to_end_fidelity(PathComposition(counts), link_fidelity)
+        return f
+
+    return fidelity
+
+
+class _Router(NamedTuple):
+    """What serving a batch on one classed graph needs besides its requests."""
+
+    classes: tuple[NoiseClass | None, ...]
+    frame: Frame
+    mapping: WeightMapping
+    link_fidelity: float
+    costs: tuple[int, ...]
+    routes: dict
+    fidelity: Callable[[Route], float]
+
+
+_ROUTER = ("router",)
+
+
+def _router(
+    graph: NetworkGraph,
+    frame: Frame,
+    mapping: WeightMapping,
+    link_fidelity: float,
+    cache: MutableMapping,
+) -> _Router:
+    """Node costs, route memo and scorer for a classed graph, built through ``cache``.
+
+    Routes are memoised per (frame, costs) on (source, destination, mask of
+    missing edges), and fidelities per (link fidelity, palette) on the class
+    codes along a route.  The last router is kept in ``cache`` too and
+    reused while calls pass the same ``classes`` tuple (which it keeps
+    alive), frame, mapping and link fidelity, as consecutive batches of one
+    class draw do.  A mapping is taken to be a pure function of the noise
+    rate.
+    """
+    router = cache.get(_ROUTER)
+    if (
+        router is None
+        or router.classes is not graph.classes
+        or router.frame is not frame
+        or router.mapping is not mapping
+        or router.link_fidelity != link_fidelity
+    ):
+        palette, codes = _palette(graph)
+        costs = _node_costs(mapping, palette, codes)
+        router = cache[_ROUTER] = _Router(
+            graph.classes,
+            frame,
+            mapping,
+            link_fidelity,
+            costs,
+            cache.setdefault((frame.key, costs), {}),
+            _fidelity_scorer(
+                palette, codes, link_fidelity,
+                cache.setdefault(("fidelity", link_fidelity, palette), {}),
+            ),
+        )
+    return router
 
 
 def shortest_path(
@@ -313,7 +374,7 @@ def shortest_path(
     if source == destination:
         raise ValueError("source and destination must differ")
     frame, used = network_frame(graph)
-    costs = integer_costs(_node_weights(graph, mapping))
+    costs = _node_costs(mapping, *_palette(graph))
     route = cheapest_route(frame, costs, source, destination, used)
     return None if route is None else route.path
 
@@ -343,33 +404,37 @@ def allocate_batch(
 
     Returns the allocations in establishment order together with the number
     of blocked requests.  ``graph`` itself is never mutated.  An optional
-    ``path_cache`` memoises shortest paths across calls, keyed by the graph's
-    base network, the node weights, the endpoints and the edges missing from
-    the residual network (whether absent from ``graph`` or consumed); callers
-    may share one cache between any batches.
+    ``path_cache`` memoises across calls: shortest paths, keyed by the
+    graph's base network, the node costs, the endpoints and the edges
+    missing from the residual network (whether absent from ``graph`` or
+    consumed); fidelities, keyed by the classes a route meets in order; and
+    the node costs of the last class tuple seen (see :func:`_router`).
+    Callers may share one cache between any batches.
     """
-    thetas = sorted(r.theta for r in requests)
-    if thetas != list(range(1, len(requests) + 1)):
+    ordered = sorted(requests, key=_theta)
+    if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
         raise ValueError("request thetas must be exactly 1..P")
 
     frame, used = network_frame(graph)
-    costs = integer_costs(_node_weights(graph, mapping))
-    table = {} if path_cache is None else route_table(path_cache, frame, costs)
-    ordered = sorted(requests, key=lambda r: r.theta)
-    served = serve(
-        frame,
-        table,
-        costs,
-        [(r.source, r.destination) for r in ordered],
-        lambda route: end_to_end_fidelity(path_composition(graph, route.path), link_fidelity),
-        fidelity_threshold,
-        used,
-    )
-    allocations = [
-        PathAllocation(request, None, None, outcome)
-        if isinstance(outcome, BlockReason)
-        else PathAllocation(request, outcome[0].path, outcome[1], None)
-        for request, outcome in zip(ordered, served)
-    ]
-    blocked = sum(1 for a in allocations if a.blocked is not None)
+    router = _router(graph, frame, mapping, link_fidelity, {} if path_cache is None else path_cache)
+    costs, routes, fidelity = router.costs, router.routes, router.fidelity
+    allocations = []
+    blocked = 0
+    for request in ordered:
+        source, destination = request.source, request.destination
+        key = (source, destination, used)
+        route = routes.get(key, _UNROUTED)
+        if route is _UNROUTED:
+            route = routes[key] = cheapest_route(frame, costs, source, destination, used)
+        if route is None:
+            reason = BlockReason.NO_PATH
+        else:
+            f = fidelity(route)
+            if f >= fidelity_threshold:
+                used |= route.edges
+                allocations.append(PathAllocation(request, route.path, f, None))
+                continue
+            reason = BlockReason.BELOW_THRESHOLD
+        allocations.append(PathAllocation(request, None, None, reason))
+        blocked += 1
     return allocations, blocked

@@ -28,8 +28,7 @@ from qrepnet import (
     sweep_xi,
     two_class_fidelity,
 )
-from qrepnet.experiment import _fidelity_scorer
-from qrepnet.routing import cheapest_route, network_frame
+from qrepnet.routing import _fidelity_scorer, allocate_batch, _palette, cheapest_route, network_frame
 
 SMALL = ExperimentConfig(
     topology=CYLINDER, num_pair_draws=2, num_class_draws=10, xi_values=(0.0, 0.4, 0.8, 1.0)
@@ -260,24 +259,26 @@ def test_eta_sweep_shares_randomness():
 
 
 def test_memoised_scorer_equals_scoring_the_composition():
-    """The (first class, n_h, n_l) fidelity memo is exact, not approximate.
+    """The class-sequence fidelity memo is exact, not approximate.
 
     ``end_to_end_fidelity`` multiplies class factors in the order the path
     meets the classes, so routes that meet a high-quality node first and
     routes that meet a low-quality node first must both reproduce it bit
-    for bit, on a memo miss and on a hit.
+    for bit, on a memo miss and on a hit, with the memo shared by graphs
+    of different class draws.
     """
     cfg = ExperimentConfig(topology=CYLINDER, n=5)
     hq, lq = cfg.hq_class(), cfg.lq_class()
     rng = np.random.default_rng(404)
     base = build_network(CYLINDER, 5)
     frame, _ = network_frame(base)
-    memo = {}
+    memos = {}
     firsts = set()
     for xi in (0.2, 0.48, 0.76):
         classed = assign_classes(base, xi, hq, lq, rng)
-        upgraded = sum(1 << v for v in base.transport_ids if classed.classes[v] == hq)
-        score = _fidelity_scorer(upgraded, memo, hq, lq, cfg.link_fidelity)
+        palette, codes = _palette(classed)
+        memo = memos.setdefault(palette, {})
+        score = _fidelity_scorer(palette, codes, cfg.link_fidelity, memo)
         for _ in range(60):
             costs = tuple(int(c) for c in rng.integers(1, 9, base.num_transport)) + (0,) * 10
             source = base.source_id(int(rng.integers(5)))
@@ -288,6 +289,25 @@ def test_memoised_scorer_equals_scoring_the_composition():
             assert score(route) == want
             firsts.add(classed.classes[route.path[1]])
     assert firsts == {hq, lq}
+
+
+def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch):
+    """Sweeps serve each (xi, pairing, class draw) batch with one call of the
+    public batch router, so tracing that function sees every batch."""
+    import qrepnet.experiment as experiment
+
+    calls = []
+
+    def counted(graph, requests, *args):
+        calls.append(len(requests))
+        return allocate_batch(graph, requests, *args)
+
+    monkeypatch.setattr(experiment, "allocate_batch", counted)
+    cfg = replace(SMALL, mapping=AWARE, f_bar=0.3)
+    summary = sweep_xi(cfg)
+    batches = len(SMALL.xi_values) * cfg.num_pair_draws * cfg.num_class_draws
+    assert calls == [cfg.n] * batches
+    assert sum(x.num_requests for x in summary.per_xi) == cfg.n * batches
 
 
 def test_shared_path_cache_changes_nothing():

@@ -335,6 +335,24 @@ def test_path_cache_is_keyed_on_the_input_edge_set():
     assert cached[0].path == (9, 0, 3, 4, 1, 2, 12)
 
 
+def test_shared_cache_follows_mapping_classes_and_link_fidelity():
+    """Reusing one cache while the mapping, the classes or the link fidelity
+    change between calls gives the results of a fresh cache every time."""
+    rng = np.random.default_rng(77)
+    g = assign_classes(build_network(GRID, 4), 0.5, HQ, LQ, rng)
+    other = assign_classes(g, 0.25, HQ, LQ, rng)
+    pairs = [(g.source_id(r), g.destination_id(3 - r)) for r in range(4)]
+    reqs = shuffle_requests(pairs, np.random.default_rng(5))
+    aware = noise_aware_mapping(LQ.eta, 2.5)
+    shared = {}
+    for graph, mapping, link_fidelity in [
+        (g, UNIT, 0.975), (g, aware, 0.975), (other, aware, 0.975),
+        (other, aware, 0.99), (g, UNIT, 0.975), (other, UNIT, 0.99),
+    ]:
+        with_shared = allocate_batch(graph, reqs, mapping, 0.3, link_fidelity, shared)
+        assert with_shared == allocate_batch(graph, reqs, mapping, 0.3, link_fidelity)
+
+
 def test_routing_rejects_edges_outside_the_base_network():
     g = all_lq(GRID, 2)
     g.adjacency[4].add(7)
