@@ -73,8 +73,8 @@ def read_config(path: str | Path) -> dict[str, list[str]]:
     """Parse a ``key=value`` config file into raw string values.
 
     Repeatable keys may appear several times or hold comma-separated values;
-    ``#`` starts a comment.  Manifest bookkeeping keys are skipped so a run
-    manifest doubles as a config file.
+    ``#`` starts a comment.  A key with no value is a usage error.  Manifest
+    bookkeeping keys are skipped so a run manifest doubles as a config file.
     """
     values: dict[str, list[str]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -87,9 +87,10 @@ def read_config(path: str | Path) -> dict[str, list[str]]:
         key = _normalise_key(key)
         if key in _MANIFEST_ONLY_KEYS:
             continue
-        values.setdefault(key, []).extend(
-            part.strip() for part in value.split(",") if part.strip()
-        )
+        parts = [part.strip() for part in value.split(",") if part.strip()]
+        if not parts:
+            raise UsageError(f"{path}:{lineno}: {key} has no value")
+        values.setdefault(key, []).extend(parts)
     return values
 
 
@@ -299,7 +300,7 @@ def cmd_topology_study(args: argparse.Namespace) -> int:
     fidelity_rows = []
     summary_rows = []
     for topology in (GRID, CYLINDER):
-        summary = sweep_xi(replace(cfg, topology=topology), path_cache={})
+        summary = sweep_xi(replace(cfg, topology=topology))
         for x in summary.per_xi:
             for node_count, stats in x.by_path_nodes.items():
                 fidelity_rows.append([topology, x.xi, node_count, *_stat_row(stats)])

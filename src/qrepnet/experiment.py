@@ -17,15 +17,16 @@ curve comparisons paired rather than independent.
 
 Every study reduces over one trial engine, :func:`_sweep`.  It draws each
 pairing, upgrade permutation and establishment order once, and serves every
-batch with :func:`~qrepnet.routing.allocate_batch` through one memo, which
-holds the routes, each class draw's node costs and the fidelity of each
-class sequence a route can meet, so each allocated route is scored once.
+batch with :func:`~qrepnet.routing.allocate_batch`.  Each classed graph
+serves all batches of all thresholds back to back, so the routing module's
+memo of the last graph routes each of them once and scores each allocated
+route once.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isfinite
@@ -214,24 +215,27 @@ class TrialRecord:
         return sum(1 for o in self.outcomes if o.blocked is not None)
 
 
+_Batches = list[tuple[NetworkGraph, list[PathAllocation]]]
+
+
 def _sweep(
     config: ExperimentConfig,
     xi_values: Sequence[float],
+    f_bars: Sequence[float],
     pairing_indices: Sequence[int] | None = None,
     class_draws: Sequence[int] | None = None,
-    path_cache: MutableMapping | None = None,
-) -> Iterator[tuple[float, Iterator[tuple[NetworkGraph, list[PathAllocation]]]]]:
+) -> Iterator[tuple[float, list[_Batches]]]:
     """The trial engine: every batch of a config, grouped by upgrade fraction.
 
-    Yields ``(xi, batches)`` per upgrade fraction in order; ``batches`` yields
-    ``(graph, allocations)`` per (pairing, class draw), pairings outermost,
-    with ``graph`` the classed network and ``allocations`` the batch served
-    by :func:`~qrepnet.routing.allocate_batch`.  Pairings, upgrade
-    permutations and establishment orders are drawn once and shared by every
-    ``xi``.  All batches of one (xi, class draw) share one class tuple and
-    are served one after another, so node costs are evaluated once per
-    class draw; routes and fidelities are memoised in ``path_cache`` (a memo
-    local to the call when ``None``).
+    Yields ``(xi, served)`` per upgrade fraction in order; ``served[i]``
+    lists ``(graph, allocations)`` for the threshold ``f_bars[i]`` per
+    (pairing, class draw), pairings outermost, with ``graph`` the classed
+    network and ``allocations`` the batch served by
+    :func:`~qrepnet.routing.allocate_batch`.  Pairings, upgrade permutations
+    and establishment orders are drawn once and shared by every ``xi`` and
+    threshold.  Each (xi, class draw) builds one classed graph and serves
+    all its batches, threshold by threshold, one after another, so node
+    costs are evaluated and routes memoised once per class draw.
     """
     seed = config.seed
     base = _base_graph(config.topology, config.n)
@@ -248,27 +252,22 @@ def _sweep(
     hq, lq = config.hq_class(), config.lq_class()
     mapping = config.weight_mapping()
     tiers = base.classes[num:]
-    memo = {} if path_cache is None else path_cache
 
-    def batches(k: int) -> Iterator[tuple[NetworkGraph, list[PathAllocation]]]:
-        # Served class draw by class draw, so consecutive batches share their
-        # graph's node costs, and yielded pairings outermost.
-        served = [[] for _ in orders]
+    for xi in xi_values:
+        k = round(xi * num)
+        served = [[[] for _ in orders] for _ in f_bars]
         for c, upgrade_order in enumerate(upgrade_orders):
             classes = [lq] * num
             for v in upgrade_order[:k]:
                 classes[v] = hq
             graph = replace(base, classes=tuple(classes) + tiers)
-            for pairing_orders, pairing_served in zip(orders, served):
-                allocations, _ = allocate_batch(
-                    graph, pairing_orders[c], mapping, config.f_bar, config.link_fidelity, memo
-                )
-                pairing_served.append((graph, allocations))
-        for pairing_served in served:
-            yield from pairing_served
-
-    for xi in xi_values:
-        yield xi, batches(round(xi * num))
+            for f_bar, by_pairing in zip(f_bars, served):
+                for pairing_orders, pairing_served in zip(orders, by_pairing):
+                    allocations, _ = allocate_batch(
+                        graph, pairing_orders[c], mapping, f_bar, config.link_fidelity
+                    )
+                    pairing_served.append((graph, allocations))
+        yield xi, [[b for batches in by_pairing for b in batches] for by_pairing in served]
 
 
 def run_trial(
@@ -277,8 +276,9 @@ def run_trial(
     """Run one full allocation batch and report the per-request outcomes."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
-    _, batches = next(_sweep(config, (xi,), (pairing_index,), (class_draw,)))
-    graph, allocations = next(batches)
+    [(_, [[(graph, allocations)]])] = _sweep(
+        config, (xi,), (config.f_bar,), (pairing_index,), (class_draw,)
+    )
     hq, lq = config.hq_class(), config.lq_class()
     outcomes = []
     for a in allocations:
@@ -354,7 +354,6 @@ class XiSummary:
     fidelity: SampleStats | None
     mean_path_nodes: float | None
     by_path_nodes: Mapping[int, SampleStats]
-    by_theta: Mapping[int, SampleStats]
 
     @property
     def blocking_probability(self) -> float:
@@ -402,7 +401,6 @@ class _XiAccumulator:
         self.num_blocked = 0
         self.fidelities: list[float] = []
         self.path_nodes: list[int] = []
-        self.thetas: list[int] = []
 
     def add(self, allocations: Sequence[PathAllocation]) -> None:
         self.num_requests += len(allocations)
@@ -412,19 +410,11 @@ class _XiAccumulator:
                 continue
             self.fidelities.append(a.fidelity)
             self.path_nodes.append(len(a.path))
-            self.thetas.append(a.request.theta)
 
     def summary(self) -> XiSummary:
         fidelities = np.asarray(self.fidelities, dtype=float)
-
-        def grouped(keys: list[int]) -> dict[int, SampleStats]:
-            # Boolean selection keeps each group's samples in serving order.
-            column = np.asarray(keys)
-            return {
-                int(k): SampleStats.from_samples(fidelities[column == k])
-                for k in np.unique(column)
-            }
-
+        # Boolean selection keeps each group's samples in serving order.
+        path_nodes = np.asarray(self.path_nodes)
         return XiSummary(
             xi=self.xi,
             num_requests=self.num_requests,
@@ -433,8 +423,10 @@ class _XiAccumulator:
             mean_path_nodes=(
                 float(np.mean(self.path_nodes)) if self.path_nodes else None
             ),
-            by_path_nodes=grouped(self.path_nodes),
-            by_theta=grouped(self.thetas),
+            by_path_nodes={
+                int(k): SampleStats.from_samples(fidelities[path_nodes == k])
+                for k in np.unique(path_nodes)
+            },
         )
 
 
@@ -450,19 +442,12 @@ def _warn_off_grid(xi_values: Sequence[float], n: int) -> None:
             )
 
 
-def sweep_xi(
-    config: ExperimentConfig,
-    path_cache: MutableMapping | None = None,
-) -> SweepSummary:
-    """Run the full trial grid of a config and aggregate per upgrade fraction.
-
-    ``path_cache`` optionally shares route memoisation across calls; its keys
-    fully describe each routing problem, so any sweeps may share one.
-    """
+def sweep_xi(config: ExperimentConfig) -> SweepSummary:
+    """Run the full trial grid of a config and aggregate per upgrade fraction."""
     xi_values = config.resolved_xi()
     _warn_off_grid(xi_values, config.n)
     per_xi = []
-    for xi, batches in _sweep(config, xi_values, path_cache=path_cache):
+    for xi, (batches,) in _sweep(config, xi_values, (config.f_bar,)):
         accumulator = _XiAccumulator(xi)
         for _, allocations in batches:
             accumulator.add(allocations)
@@ -517,7 +502,7 @@ def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
     profiles: list[ThetaProfile] = []
     for mapping in MAPPINGS:
         cfg = replace(config, mapping=mapping, xi_values=tuple(xi_values))
-        for xi, batches in _sweep(cfg, xi_values):
+        for xi, (batches,) in _sweep(cfg, xi_values, (cfg.f_bar,)):
             samples: dict[int, list[float]] = {t: [] for t in range(1, config.n + 1)}
             for _, allocations in batches:
                 for a in allocations:
@@ -544,24 +529,26 @@ def study_blocking(
 ) -> tuple[BlockingPoint, ...]:
     """Blocking probability versus xi for several fidelity thresholds.
 
-    Runs both weight mappings for every threshold on shared randomness; one
-    route memo is reused across all sweeps since its keys fully describe the
-    routing problem.
+    Each mapping is one engine pass that serves every threshold on each
+    classed graph, so all thresholds share randomness and routes.  Points
+    come mapping by mapping, then threshold by threshold as given, then by
+    xi.
     """
-    cache: dict = {}
+    for f_bar in f_bar_values:
+        replace(config, f_bar=f_bar)  # validates the threshold
+    xi_values = config.resolved_xi()
+    _warn_off_grid(xi_values, config.n)
     points: list[BlockingPoint] = []
     for mapping in MAPPINGS:
-        for f_bar in f_bar_values:
-            summary = sweep_xi(
-                replace(config, mapping=mapping, f_bar=f_bar), path_cache=cache
-            )
-            points.extend(
-                BlockingPoint(
-                    mapping=mapping,
-                    f_bar=f_bar,
-                    xi=x.xi,
-                    blocking_probability=x.blocking_probability,
-                )
-                for x in summary.per_xi
-            )
+        curves: list[list[BlockingPoint]] = [[] for _ in f_bar_values]
+        cfg = replace(config, mapping=mapping)
+        for xi, served in _sweep(cfg, xi_values, f_bar_values):
+            for f_bar, batches, curve in zip(f_bar_values, served, curves):
+                accumulator = _XiAccumulator(xi)
+                for _, allocations in batches:
+                    accumulator.add(allocations)
+                blocking = accumulator.num_blocked / accumulator.num_requests
+                curve.append(BlockingPoint(mapping, f_bar, xi, blocking))
+        for curve in curves:
+            points.extend(curve)
     return tuple(points)

@@ -16,14 +16,16 @@ order in which their weights are summed.
 
 Routing runs on a static frame of the base network (sorted neighbours, each
 paired with its edge's bit), and a residual network is one int, the mask of
-edges already consumed.  Routes are memoised per (frame, node costs) on
-(source, destination, residual mask), and fidelities per class palette on
-the sequence of classes a route meets.
+edges already consumed.  The module keeps one bounded memo for the last
+classed graph served: its node costs, its routes on (source, destination,
+residual mask) and the fidelity of each class sequence a route meets.  A
+later graph inherits the routes only while the node costs are equal, so the
+routes of one cost vector at most are held at any time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, MutableMapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -287,8 +289,8 @@ def _fidelity_scorer(
     :func:`end_to_end_fidelity` multiplies the class factors in encounter
     order.  Each memo value is computed by that function from the
     composition :func:`path_composition` would give, so every score is
-    bit-identical to scoring the route directly.  Graphs with the same
-    palette and link fidelity may share ``memo``.
+    bit-identical to scoring the route directly.  Graphs whose codes name
+    the same classes may share ``memo`` at one link fidelity.
     """
     code_of = codes.__getitem__
 
@@ -308,7 +310,10 @@ def _fidelity_scorer(
 
 
 class _Router(NamedTuple):
-    """What serving a batch on one classed graph needs besides its requests."""
+    """What serving a batch on one classed graph needs besides its requests.
+
+    ``known`` lists the classes behind the codes of the score memo ``scores``.
+    """
 
     classes: tuple[NoiseClass | None, ...]
     frame: Frame
@@ -316,52 +321,55 @@ class _Router(NamedTuple):
     link_fidelity: float
     costs: tuple[int, ...]
     routes: dict
+    known: tuple[NoiseClass, ...]
+    scores: dict
     fidelity: Callable[[Route], float]
 
 
-_ROUTER = ("router",)
+# The last router built; the whole routing memo of the module.  Every memo
+# entry is a pure function of its key, so a stale or shared slot can cost
+# work but never change a result.
+_last: _Router | None = None
 
 
 def _router(
-    graph: NetworkGraph,
-    frame: Frame,
-    mapping: WeightMapping,
-    link_fidelity: float,
-    cache: MutableMapping,
+    graph: NetworkGraph, frame: Frame, mapping: WeightMapping, link_fidelity: float
 ) -> _Router:
-    """Node costs, route memo and scorer for a classed graph, built through ``cache``.
+    """Node costs, route memo and scorer for a classed graph.
 
-    Routes are memoised per (frame, costs) on (source, destination, mask of
-    missing edges), and fidelities per (link fidelity, palette) on the class
-    codes along a route.  The last router is kept in ``cache`` too and
-    reused while calls pass the same ``classes`` tuple (which it keeps
-    alive), frame, mapping and link fidelity, as consecutive batches of one
-    class draw do.  A mapping is taken to be a pure function of the noise
-    rate.
+    The last router is reused while calls pass the same ``classes`` tuple
+    (which it keeps alive), frame, mapping and link fidelity, as consecutive
+    batches of one class draw do.  A mapping is taken to be a pure function
+    of the noise rate.  A new router takes over the last one's routes while
+    the frame and the node costs are equal, and its fidelity scores while
+    the link fidelity is equal and the graph brings no class they lack.
     """
-    router = cache.get(_ROUTER)
+    global _last
+    last = _last
     if (
-        router is None
-        or router.classes is not graph.classes
-        or router.frame is not frame
-        or router.mapping is not mapping
-        or router.link_fidelity != link_fidelity
+        last is not None
+        and last.classes is graph.classes
+        and last.frame is frame
+        and last.mapping is mapping
+        and last.link_fidelity == link_fidelity
     ):
-        palette, codes = _palette(graph)
-        costs = _node_costs(mapping, palette, codes)
-        router = cache[_ROUTER] = _Router(
-            graph.classes,
-            frame,
-            mapping,
-            link_fidelity,
-            costs,
-            cache.setdefault((frame.key, costs), {}),
-            _fidelity_scorer(
-                palette, codes, link_fidelity,
-                cache.setdefault(("fidelity", link_fidelity, palette), {}),
-            ),
-        )
-    return router
+        return last
+    palette, codes = _palette(graph)
+    costs = _node_costs(mapping, palette, codes)
+    routes = {}
+    known, scores = palette, {}
+    if last is not None:
+        if last.frame is frame and last.costs == costs:
+            routes = last.routes
+        if last.link_fidelity == link_fidelity and all(cls in last.known for cls in palette):
+            known, scores = last.known, last.scores
+            recode = (0, *(known.index(cls) + 1 for cls in palette))
+            codes = tuple(map(recode.__getitem__, codes))
+    _last = _Router(
+        graph.classes, frame, mapping, link_fidelity, costs, routes, known, scores,
+        _fidelity_scorer(known, codes, link_fidelity, scores),
+    )
+    return _last
 
 
 def shortest_path(
@@ -398,25 +406,21 @@ def allocate_batch(
     mapping: WeightMapping,
     fidelity_threshold: float,
     link_fidelity: float,
-    path_cache: MutableMapping | None = None,
 ) -> tuple[list[PathAllocation], int]:
     """Serve the requests in establishment order on a residual view of ``graph``.
 
     Returns the allocations in establishment order together with the number
-    of blocked requests.  ``graph`` itself is never mutated.  An optional
-    ``path_cache`` memoises across calls: shortest paths, keyed by the
-    graph's base network, the node costs, the endpoints and the edges
-    missing from the residual network (whether absent from ``graph`` or
-    consumed); fidelities, keyed by the classes a route meets in order; and
-    the node costs of the last class tuple seen (see :func:`_router`).
-    Callers may share one cache between any batches.
+    of blocked requests.  ``graph`` itself is never mutated.  Routes and
+    fidelities come from the module's memo of the last classed graph (see
+    :func:`_router`), so consecutive calls on one graph, whatever their
+    thresholds, route each (endpoints, residual network) once.
     """
     ordered = sorted(requests, key=_theta)
     if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
         raise ValueError("request thetas must be exactly 1..P")
 
     frame, used = network_frame(graph)
-    router = _router(graph, frame, mapping, link_fidelity, {} if path_cache is None else path_cache)
+    router = _router(graph, frame, mapping, link_fidelity)
     costs, routes, fidelity = router.costs, router.routes, router.fidelity
     allocations = []
     blocked = 0

@@ -71,10 +71,8 @@ def pooled():
     """Full xi sweeps for seeds 1..10 on both topologies, defaults otherwise."""
     out = {}
     for topology in (GRID, CYLINDER):
-        cache = {}
         out[topology] = [
-            sweep_xi(ExperimentConfig(topology=topology, seed=seed), path_cache=cache)
-            for seed in SEEDS
+            sweep_xi(ExperimentConfig(topology=topology, seed=seed)) for seed in SEEDS
         ]
     return out
 
@@ -82,7 +80,7 @@ def pooled():
 @pytest.fixture(scope="module")
 def default_sweeps():
     return {
-        topology: sweep_xi(ExperimentConfig(topology=topology), path_cache={})
+        topology: sweep_xi(ExperimentConfig(topology=topology))
         for topology in (GRID, CYLINDER)
     }
 
@@ -125,7 +123,6 @@ class ExactModel:
             build_network(topology, cfg.n), 0.0, HQ, LQ, np.random.default_rng(0)
         )
         mapping = noise_unaware_mapping()
-        cache = {}
         min_blocks = []
         num_requests = num_blocked = 0
         paths = Counter()
@@ -137,7 +134,7 @@ class ExactModel:
             for order in permutations(range(cfg.n)):
                 requests = [RoutingRequest(*pairs[i], theta=t + 1) for t, i in enumerate(order)]
                 allocations, blocked = allocate_batch(
-                    graph, requests, mapping, 0.0, cfg.link_fidelity, cache
+                    graph, requests, mapping, 0.0, cfg.link_fidelity
                 )
                 fewest = min(fewest, blocked)
                 num_requests += len(requests)

@@ -134,6 +134,18 @@ def test_usage_errors_exit_2(tmp_path):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("frobnicate=1\n")
     assert run(["topology-study", "--config", unknown]) == 2
+    # A key with no value is named with its file and line, for any study.
+    for command, line in [
+        ("blocking", "seed="), ("blocking", "f_bar= ,"), ("blocking", "xi="),
+        ("topology-study", "xi="), ("topology-study", "eta_l="),
+        ("lq-sensitivity", "xi="), ("lq-sensitivity", "eta_l="),
+        ("noise-awareness", "seed="),
+    ]:
+        empty = tmp_path / "empty.cfg"
+        empty.write_text(f"n=2\n{line}\n")
+        with pytest.raises(UsageError, match=r"empty\.cfg:2: .* has no value"):
+            read_config(empty)
+        assert run([command, "--config", empty, "--out-dir", tmp_path / "o"]) == 2
 
 
 def test_unrecognized_flag_exits_2():

@@ -28,6 +28,7 @@ from qrepnet import (
     sweep_xi,
     two_class_fidelity,
 )
+from qrepnet import routing
 from qrepnet.routing import _fidelity_scorer, allocate_batch, _palette, cheapest_route, network_frame
 
 SMALL = ExperimentConfig(
@@ -119,9 +120,9 @@ def test_unreachable_threshold_blocks_every_request():
 def test_sweep_matches_trials_sample_for_sample():
     """The batched sweep must agree with independently re-run trials.
 
-    The sweep takes a re-scoring shortcut when routing cannot depend on the
-    class draw; this pins its records to the general path, establishment
-    position by establishment position.
+    A sweep serves its batches class draw by class draw through the routing
+    memo; this pins its records to one-batch trials, establishment position
+    by establishment position.
     """
     summary = sweep_xi(SMALL)
     for xi_summary in summary.per_xi:
@@ -145,9 +146,9 @@ def test_sweep_matches_trials_sample_for_sample():
 
 
 def test_aware_unit_weight_detour_matches_unaware():
-    """With the detour weight forced to 1 both mappings rank paths alike,
-    but the aware configuration goes through the general routing path; the
-    resulting statistics must match the shortcut exactly."""
+    """With the detour weight forced to 1 both mappings rank paths alike, so
+    the aware sweep, which evaluates its own node weights, must give the
+    unaware statistics exactly."""
     fast = sweep_xi(SMALL)
     slow = sweep_xi(replace(SMALL, mapping=AWARE, aware_weight=1.0))
     for a, b in zip(fast.per_xi, slow.per_xi):
@@ -158,7 +159,6 @@ def test_aware_unit_weight_detour_matches_unaware():
             gb.minimum, gb.q1, gb.median, gb.q3, gb.maximum,
         )
         assert a.fidelity.mean == pytest.approx(b.fidelity.mean, abs=1e-13)
-        assert dict(a.by_theta).keys() == dict(b.by_theta).keys()
 
 
 def test_mean_fidelity_is_monotone_in_xi():
@@ -310,14 +310,67 @@ def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch):
     assert sum(x.num_requests for x in summary.per_xi) == cfg.n * batches
 
 
-def test_shared_path_cache_changes_nothing():
+def test_routing_memo_changes_no_sweep():
+    """A sweep that starts on the memo left by a sweep at another threshold
+    equals the same sweep started on an empty memo."""
     cfg = replace(SMALL, mapping=AWARE, num_class_draws=4)
-    shared = {}
     for f_bar in (0.0, 0.3, 0.0):
+        memoised = sweep_xi(replace(cfg, f_bar=f_bar))
+        routing._last = None
         fresh = sweep_xi(replace(cfg, f_bar=f_bar))
-        cached = sweep_xi(replace(cfg, f_bar=f_bar), path_cache=shared)
-        assert cached.per_xi == fresh.per_xi
-    assert shared
+        assert memoised.per_xi == fresh.per_xi
+    assert routing._last.routes
+
+
+def test_blocking_study_is_one_pass_per_mapping(monkeypatch):
+    """Each mapping serves all thresholds in one engine pass, and its
+    blocking probabilities equal those of one sweep per threshold."""
+    import qrepnet.experiment as experiment
+
+    passes = []
+    engine = experiment._sweep
+
+    def counted(config, xi_values, f_bars, *args):
+        passes.append((config.mapping, tuple(f_bars)))
+        return engine(config, xi_values, f_bars, *args)
+
+    monkeypatch.setattr(experiment, "_sweep", counted)
+    f_bars = (0.3, 0.0, 0.28, 0.3)
+    points = study_blocking(SMALL, f_bars)
+    assert passes == [(UNAWARE, f_bars), (AWARE, f_bars)]
+    monkeypatch.undo()
+    want = [
+        (mapping, f_bar, x.xi, x.blocking_probability)
+        for mapping in (UNAWARE, AWARE)
+        for f_bar in f_bars
+        for x in sweep_xi(replace(SMALL, mapping=mapping, f_bar=f_bar)).per_xi
+    ]
+    assert [(p.mapping, p.f_bar, p.xi, p.blocking_probability) for p in points] == want
+    assert 0.0 < sum(p.blocking_probability for p in points) < len(points)
+
+
+def test_routing_memo_holds_one_cost_vector(monkeypatch):
+    """Every route table the memo builds during an aware sweep serves one
+    cost vector only, and the memo left behind holds exactly that vector's
+    cheapest routes."""
+    tables = []  # kept alive so that table ids stay unique
+    build = routing._router
+
+    def recorded(*args):
+        router = build(*args)
+        tables.append((router.routes, router.costs))
+        return router
+
+    monkeypatch.setattr(routing, "_router", recorded)
+    sweep_xi(replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4))
+    costs_of = {}
+    for routes, costs in tables:
+        assert costs_of.setdefault(id(routes), costs) == costs
+    assert len(costs_of) > 1
+    last = routing._last
+    assert last.routes is tables[-1][0]
+    for (source, destination, used), route in last.routes.items():
+        assert route == cheapest_route(last.frame, last.costs, source, destination, used)
 
 
 def test_stats_helpers():

@@ -67,6 +67,15 @@ GOLDEN = {
                 "3ff0a978ce2d7032c4569a8719928745ef0b736939a9bf08275adf479810d962",
         },
     ),
+    # Unsorted, repeated thresholds: rows stay in (mapping, f_bar as given,
+    # xi) order.
+    "blocking-threshold-order": (
+        ["blocking", *SMALL, "--f-bar", "0.7", "--f-bar", "0.53", "--f-bar", "0.7"],
+        {
+            "blocking_vs_xi.csv":
+                "19f5eab44530f753d5276ea3aaf6b83253a77b6ac1f5995c1022581b5ac611ac",
+        },
+    ),
 }
 
 

@@ -14,10 +14,12 @@ from qrepnet import (
     GRID,
     BlockReason,
     NoiseClass,
+    PathAllocation,
     RoutingRequest,
     allocate_batch,
     assign_classes,
     build_network,
+    end_to_end_fidelity,
     noise_aware_mapping,
     noise_unaware_mapping,
     path_composition,
@@ -25,6 +27,7 @@ from qrepnet import (
     shuffle_requests,
     two_class_fidelity,
 )
+from qrepnet import routing
 from qrepnet.routing import integer_costs
 from qrepnet.topology import NodeKind
 
@@ -289,68 +292,83 @@ def test_allocation_fidelity_matches_composition():
             )
 
 
-def test_path_cache_changes_nothing():
+def reference_batch(graph, requests, mapping, threshold, link_fidelity):
+    """Serve a batch with no memo at all: one ``shortest_path`` per request on
+    a residual copy of ``graph``, scored from the path's composition."""
+    residual = graph.copy()
+    allocations = []
+    blocked = 0
+    for r in sorted(requests, key=lambda r: r.theta):
+        path = shortest_path(residual, r.source, r.destination, mapping)
+        if path is None:
+            allocations.append(PathAllocation(r, None, None, BlockReason.NO_PATH))
+        else:
+            f = end_to_end_fidelity(path_composition(graph, path), link_fidelity)
+            if f >= threshold:
+                for u, v in itertools.pairwise(path):
+                    residual.remove_edge(u, v)
+                allocations.append(PathAllocation(r, path, f, None))
+                continue
+            allocations.append(PathAllocation(r, None, None, BlockReason.BELOW_THRESHOLD))
+        blocked += 1
+    return allocations, blocked
+
+
+def test_routing_memo_changes_nothing():
     rng = np.random.default_rng(31)
-    cache = {}
     for topology in (GRID, CYLINDER):
         g = assign_classes(build_network(topology, 3), 0.5, HQ, LQ, rng)
         pairs = [(g.source_id(r), g.destination_id(r)) for r in range(3)]
         reqs = shuffle_requests(pairs, np.random.default_rng(8))
-        plain, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975)
-        cached, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975, path_cache=cache)
-        again, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975, path_cache=cache)
-        assert cached == plain
-        assert again == plain
-    assert len(cache) > 0
+        want = reference_batch(g, reqs, UNIT, 0.0, 0.975)
+        # The second call on the same graph is served from the memo.
+        assert allocate_batch(g, reqs, UNIT, 0.0, 0.975) == want
+        assert allocate_batch(g, reqs, UNIT, 0.0, 0.975) == want
+        assert routing._last.routes
 
 
 def test_shared_cache_is_safe_across_topologies():
-    # Grid(3) and Cylinder(3) share node ids and weights; a shared cache
-    # must still route each on its own adjacency.
-    shared = {}
+    # Grid(3) and Cylinder(3) share node ids and node costs; the memo must
+    # still route each on its own adjacency.
     results = {}
     for topology in (GRID, CYLINDER):
         g = all_lq(topology, 3)
         reqs = [RoutingRequest(g.source_id(0), g.destination_id(2), 1)]
-        with_shared, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975, path_cache=shared)
-        fresh, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975, path_cache={})
-        assert with_shared == fresh
-        results[topology] = with_shared[0].path
+        memoised, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975)
+        assert memoised == reference_batch(g, reqs, UNIT, 0.0, 0.975)[0]
+        results[topology] = memoised[0].path
     # The wrap edge gives the cylinder a strictly shorter crossing.
     assert len(results[CYLINDER]) < len(results[GRID])
 
 
-def test_path_cache_is_keyed_on_the_input_edge_set():
-    """A route cached on the full grid must not be reused on a graph lacking its edges."""
+def test_routing_memo_is_keyed_on_the_input_edge_set():
+    """A route memoised on the full grid must not be reused on a graph lacking its edges."""
     g = all_lq(GRID, 3)
     reqs = [RoutingRequest(g.source_id(0), g.destination_id(0), 1)]
-    cache = {}
-    full, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975, path_cache=cache)
+    full, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975)
     assert full[0].path == (9, 0, 1, 2, 12)
-    cut = g.copy()
+    cut = g.copy()  # same classes tuple, so the same memo serves it
     cut.remove_edge(0, 1)
-    cached, _ = allocate_batch(cut, reqs, UNIT, 0.0, 0.975, path_cache=cache)
-    fresh, _ = allocate_batch(cut, reqs, UNIT, 0.0, 0.975)
-    assert cached == fresh
-    assert cached[0].path == (9, 0, 3, 4, 1, 2, 12)
+    memoised = allocate_batch(cut, reqs, UNIT, 0.0, 0.975)
+    assert memoised == reference_batch(cut, reqs, UNIT, 0.0, 0.975)
+    assert memoised[0][0].path == (9, 0, 3, 4, 1, 2, 12)
 
 
 def test_shared_cache_follows_mapping_classes_and_link_fidelity():
-    """Reusing one cache while the mapping, the classes or the link fidelity
-    change between calls gives the results of a fresh cache every time."""
+    """While the mapping, the classes or the link fidelity change between
+    calls, every call gives the results of memo-free routing."""
     rng = np.random.default_rng(77)
     g = assign_classes(build_network(GRID, 4), 0.5, HQ, LQ, rng)
     other = assign_classes(g, 0.25, HQ, LQ, rng)
     pairs = [(g.source_id(r), g.destination_id(3 - r)) for r in range(4)]
     reqs = shuffle_requests(pairs, np.random.default_rng(5))
     aware = noise_aware_mapping(LQ.eta, 2.5)
-    shared = {}
     for graph, mapping, link_fidelity in [
         (g, UNIT, 0.975), (g, aware, 0.975), (other, aware, 0.975),
         (other, aware, 0.99), (g, UNIT, 0.975), (other, UNIT, 0.99),
     ]:
-        with_shared = allocate_batch(graph, reqs, mapping, 0.3, link_fidelity, shared)
-        assert with_shared == allocate_batch(graph, reqs, mapping, 0.3, link_fidelity)
+        memoised = allocate_batch(graph, reqs, mapping, 0.3, link_fidelity)
+        assert memoised == reference_batch(graph, reqs, mapping, 0.3, link_fidelity)
 
 
 def test_routing_rejects_edges_outside_the_base_network():
