@@ -19,8 +19,8 @@ Every study reduces over one trial engine, :func:`_sweep`.  It draws each
 pairing, upgrade permutation and establishment order once, and serves every
 batch with :func:`~qrepnet.routing.allocate_batch`.  Each classed graph
 serves all batches of all thresholds back to back, so the routing module's
-memo of the last graph routes each of them once and scores each allocated
-route once.
+memo of the last graph routes and scores each (endpoints, residual network)
+of them once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -44,7 +43,7 @@ from .routing import (
     path_composition,
     shuffle_requests,
 )
-from .topology import TOPOLOGIES, GRID, NetworkGraph, build_network
+from .topology import TOPOLOGIES, GRID, NetworkGraph, base_network
 
 __all__ = [
     "AWARE",
@@ -179,11 +178,6 @@ def _shuffle_rng(seed: int, pairing_index: int, class_draw: int) -> np.random.Ge
     return _substream(seed, _SHUFFLE_STREAM, pairing_index, class_draw)
 
 
-@lru_cache(maxsize=8)
-def _base_graph(topology: str, n: int) -> NetworkGraph:
-    return build_network(topology, n)
-
-
 def _pairs(graph: NetworkGraph, permutation: Sequence[int]) -> list[tuple[int, int]]:
     return [
         (graph.source_id(row), graph.destination_id(int(permutation[row])))
@@ -215,7 +209,7 @@ class TrialRecord:
         return sum(1 for o in self.outcomes if o.blocked is not None)
 
 
-_Batches = list[tuple[NetworkGraph, list[PathAllocation]]]
+_Batches = list[tuple[NetworkGraph, list[PathAllocation], int]]
 
 
 def _sweep(
@@ -228,17 +222,18 @@ def _sweep(
     """The trial engine: every batch of a config, grouped by upgrade fraction.
 
     Yields ``(xi, served)`` per upgrade fraction in order; ``served[i]``
-    lists ``(graph, allocations)`` for the threshold ``f_bars[i]`` per
-    (pairing, class draw), pairings outermost, with ``graph`` the classed
-    network and ``allocations`` the batch served by
-    :func:`~qrepnet.routing.allocate_batch`.  Pairings, upgrade permutations
-    and establishment orders are drawn once and shared by every ``xi`` and
-    threshold.  Each (xi, class draw) builds one classed graph and serves
-    all its batches, threshold by threshold, one after another, so node
-    costs are evaluated and routes memoised once per class draw.
+    lists ``(graph, allocations, blocked)`` for the threshold ``f_bars[i]``
+    per (pairing, class draw), pairings outermost, with ``graph`` the
+    classed network and ``allocations`` and ``blocked`` what
+    :func:`~qrepnet.routing.allocate_batch` returned for the batch.
+    Pairings, upgrade permutations and establishment orders are drawn once
+    and shared by every ``xi`` and threshold.  Each (xi, class draw) builds
+    one classed graph and serves all its batches, threshold by threshold,
+    one after another, so node costs are evaluated and routes memoised once
+    per class draw.
     """
     seed = config.seed
-    base = _base_graph(config.topology, config.n)
+    base = base_network(config.topology, config.n)
     num = base.num_transport
     pairing_indices = range(config.num_pair_draws) if pairing_indices is None else pairing_indices
     class_draws = range(config.num_class_draws) if class_draws is None else class_draws
@@ -263,10 +258,10 @@ def _sweep(
             graph = replace(base, classes=tuple(classes) + tiers)
             for f_bar, by_pairing in zip(f_bars, served):
                 for pairing_orders, pairing_served in zip(orders, by_pairing):
-                    allocations, _ = allocate_batch(
+                    allocations, blocked = allocate_batch(
                         graph, pairing_orders[c], mapping, f_bar, config.link_fidelity
                     )
-                    pairing_served.append((graph, allocations))
+                    pairing_served.append((graph, allocations, blocked))
         yield xi, [[b for batches in by_pairing for b in batches] for by_pairing in served]
 
 
@@ -276,7 +271,7 @@ def run_trial(
     """Run one full allocation batch and report the per-request outcomes."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
-    [(_, [[(graph, allocations)]])] = _sweep(
+    [(_, [[(graph, allocations, _)]])] = _sweep(
         config, (xi,), (config.f_bar,), (pairing_index,), (class_draw,)
     )
     hq, lq = config.hq_class(), config.lq_class()
@@ -449,7 +444,7 @@ def sweep_xi(config: ExperimentConfig) -> SweepSummary:
     per_xi = []
     for xi, (batches,) in _sweep(config, xi_values, (config.f_bar,)):
         accumulator = _XiAccumulator(xi)
-        for _, allocations in batches:
+        for _, allocations, _ in batches:
             accumulator.add(allocations)
         per_xi.append(accumulator.summary())
     return SweepSummary(config=config, per_xi=tuple(per_xi))
@@ -504,7 +499,7 @@ def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
         cfg = replace(config, mapping=mapping, xi_values=tuple(xi_values))
         for xi, (batches,) in _sweep(cfg, xi_values, (cfg.f_bar,)):
             samples: dict[int, list[float]] = {t: [] for t in range(1, config.n + 1)}
-            for _, allocations in batches:
+            for _, allocations, _ in batches:
                 for a in allocations:
                     if a.path is not None:
                         samples[a.request.theta].append(a.fidelity)
@@ -544,11 +539,9 @@ def study_blocking(
         cfg = replace(config, mapping=mapping)
         for xi, served in _sweep(cfg, xi_values, f_bar_values):
             for f_bar, batches, curve in zip(f_bar_values, served, curves):
-                accumulator = _XiAccumulator(xi)
-                for _, allocations in batches:
-                    accumulator.add(allocations)
-                blocking = accumulator.num_blocked / accumulator.num_requests
-                curve.append(BlockingPoint(mapping, f_bar, xi, blocking))
+                requests = sum(len(allocations) for _, allocations, _ in batches)
+                blocked = sum(count for _, _, count in batches)
+                curve.append(BlockingPoint(mapping, f_bar, xi, blocked / requests))
         for curve in curves:
             points.extend(curve)
     return tuple(points)

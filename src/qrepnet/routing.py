@@ -18,9 +18,12 @@ Routing runs on a static frame of the base network (sorted neighbours, each
 paired with its edge's bit), and a residual network is one int, the mask of
 edges already consumed.  The module keeps one bounded memo for the last
 classed graph served: its node costs, its routes on (source, destination,
-residual mask) and the fidelity of each class sequence a route meets.  A
-later graph inherits the routes only while the node costs are equal, so the
-routes of one cost vector at most are held at any time.
+residual mask), the fidelity of each class sequence a route meets, one
+resumable reverse search per (destination, residual mask) and the (route,
+fidelity) served per (source, destination, residual mask).  A later graph
+inherits the routes only while the node costs are equal, so the routes of
+one cost vector at most are held at any time; searches and served entries
+live and die with their graph.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fidelity import NoiseClass, PathComposition, end_to_end_fidelity
-from .topology import NetworkGraph, NodeKind, build_network
+from .topology import NetworkGraph, NodeKind, base_network
 
 __all__ = [
     "BlockReason",
@@ -200,7 +203,7 @@ class Frame(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _base_frame(topology: str, n: int) -> Frame:
-    graph = build_network(topology, n)
+    graph = base_network(topology, n)
     bits = {edge: 1 << i for i, edge in enumerate(graph.edges())}
     neighbours = tuple(
         tuple((w, bits[(v, w) if v < w else (w, v)]) for w in sorted(graph.adjacency[v]))
@@ -217,12 +220,13 @@ def _base_frame(topology: str, n: int) -> Frame:
 def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
     """The frame of a graph's base network and the mask of base edges it lacks.
 
-    The base network is the one ``build_network`` gives for the graph's
-    topology and width; the graph must be a subgraph of it.
+    The base network is the one ``base_network`` gives for the graph's
+    topology and width; the graph must be a subgraph of it.  A graph that
+    shares the base network's adjacency is recognised by identity.
     """
     frame = _base_frame(graph.topology, graph.n)
     adjacency = graph.adjacency
-    if adjacency == frame.adjacency:
+    if adjacency is frame.adjacency or adjacency == frame.adjacency:
         return frame, 0
     if len(frame.neighbours) == graph.num_nodes:
         missing = kept = 0
@@ -236,27 +240,54 @@ def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
     raise ValueError("graph is not a subgraph of its base network")
 
 
+class Search(NamedTuple):
+    """A resumable reverse Dijkstra toward one destination on one residual network.
+
+    ``togo`` holds each node's cost to go found so far, and ``heap`` the
+    ``(cost, node)`` entries not yet popped.  A label is final once no
+    entry is below it.
+    """
+
+    togo: list[float]
+    heap: list[tuple[int, int]]
+
+
+def _search(frame: Frame, destination: int) -> Search:
+    togo: list[float] = [inf] * len(frame.neighbours)
+    togo[destination] = 0
+    return Search(togo, [(0, destination)])
+
+
 def cheapest_route(
-    frame: Frame, costs: Sequence[int], source: int, destination: int, used: int
+    frame: Frame,
+    costs: Sequence[int],
+    source: int,
+    destination: int,
+    used: int,
+    search: Search | None = None,
 ) -> Route | None:
     """Cheapest path over the edges not in ``used``, ties to the smallest id sequence.
 
-    A reverse Dijkstra from the destination settles the exact cost to go of
-    every node up to the source.  A walk from the source then steps, at each
-    node, to the smallest-id neighbour that stays on a cheapest path.  The
-    lexicographically smallest cheapest path starts with the smallest such
-    neighbour and continues with the smallest cheapest path from it, so the
-    walk finds it.  Transport costs must be positive: cost to go then falls
-    strictly along the walk, which keeps it simple.
+    A reverse Dijkstra from the destination pops nodes until no entry is
+    cheaper than the source's label, which is then its exact cost to go.  A
+    walk from the source then steps, at each node, to the smallest-id
+    neighbour that stays on a cheapest path.  The lexicographically smallest
+    cheapest path starts with the smallest such neighbour and continues with
+    the smallest cheapest path from it, so the walk finds it.  Transport
+    costs must be positive: cost to go then falls strictly along the walk,
+    which keeps it simple, and every node the walk steps to has a final
+    label below the source's.
+
+    ``search``, if given, is the state that earlier calls toward
+    ``destination`` on the same ``used`` and ``costs`` left behind, and the
+    search resumes where it stopped.  A label below every pending entry is
+    final, and resuming only makes more labels final, so the route is the
+    one a fresh search finds.
     """
     neighbours = frame.neighbours
-    togo: list[float] = [inf] * len(neighbours)
-    togo[destination] = 0
-    heap = [(0, destination)]
-    while heap:
+    togo, heap = _search(frame, destination) if search is None else search
+    while heap and heap[0][0] < togo[source]:
         cost, u = heappop(heap)
-        if u == source:
-            break
         if cost > togo[u]:
             continue
         via = cost + costs[u]
@@ -264,7 +295,7 @@ def cheapest_route(
             if via < togo[w] and not used & bit:
                 togo[w] = via
                 heappush(heap, (via, w))
-    else:
+    if togo[source] == inf:
         return None
     path = [source]
     edges = 0
@@ -274,6 +305,8 @@ def cheapest_route(
         for w, bit in neighbours[v]:
             if togo[w] + costs[w] == left and not used & bit:
                 break
+        else:
+            raise ValueError("search does not belong to this destination and residual network")
         path.append(w)
         edges |= bit
         v = w
@@ -312,7 +345,10 @@ def _fidelity_scorer(
 class _Router(NamedTuple):
     """What serving a batch on one classed graph needs besides its requests.
 
-    ``known`` lists the classes behind the codes of the score memo ``scores``.
+    ``known`` lists the classes behind the codes of the score memo
+    ``scores``.  ``searches`` maps (destination, residual mask) to its
+    :class:`Search`, and ``served`` maps (source, destination, residual
+    mask) to the (route, fidelity) served on this graph.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -324,6 +360,8 @@ class _Router(NamedTuple):
     known: tuple[NoiseClass, ...]
     scores: dict
     fidelity: Callable[[Route], float]
+    searches: dict
+    served: dict
 
 
 # The last router built; the whole routing memo of the module.  Every memo
@@ -343,6 +381,7 @@ def _router(
     of the noise rate.  A new router takes over the last one's routes while
     the frame and the node costs are equal, and its fidelity scores while
     the link fidelity is equal and the graph brings no class they lack.
+    Searches and served entries are never taken over.
     """
     global _last
     last = _last
@@ -367,7 +406,7 @@ def _router(
             codes = tuple(map(recode.__getitem__, codes))
     _last = _Router(
         graph.classes, frame, mapping, link_fidelity, costs, routes, known, scores,
-        _fidelity_scorer(known, codes, link_fidelity, scores),
+        _fidelity_scorer(known, codes, link_fidelity, scores), {}, {},
     )
     return _last
 
@@ -413,7 +452,9 @@ def allocate_batch(
     of blocked requests.  ``graph`` itself is never mutated.  Routes and
     fidelities come from the module's memo of the last classed graph (see
     :func:`_router`), so consecutive calls on one graph, whatever their
-    thresholds, route each (endpoints, residual network) once.
+    thresholds, route and score each (endpoints, residual network) once, and
+    all routes toward one destination on one residual network share one
+    resumed reverse search.
     """
     ordered = sorted(requests, key=_theta)
     if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
@@ -421,23 +462,32 @@ def allocate_batch(
 
     frame, used = network_frame(graph)
     router = _router(graph, frame, mapping, link_fidelity)
-    costs, routes, fidelity = router.costs, router.routes, router.fidelity
+    costs, routes = router.costs, router.routes
+    searches, served = router.searches, router.served
     allocations = []
     blocked = 0
     for request in ordered:
         source, destination = request.source, request.destination
         key = (source, destination, used)
-        route = routes.get(key, _UNROUTED)
-        if route is _UNROUTED:
-            route = routes[key] = cheapest_route(frame, costs, source, destination, used)
+        hit = served.get(key)
+        if hit is None:
+            route = routes.get(key, _UNROUTED)
+            if route is _UNROUTED:
+                search = searches.get((destination, used))
+                if search is None:
+                    search = searches[destination, used] = _search(frame, destination)
+                route = routes[key] = cheapest_route(
+                    frame, costs, source, destination, used, search
+                )
+            hit = served[key] = (route, None if route is None else router.fidelity(route))
+        route, f = hit
         if route is None:
             reason = BlockReason.NO_PATH
+        elif f >= fidelity_threshold:
+            used |= route.edges
+            allocations.append(PathAllocation(request, route.path, f, None))
+            continue
         else:
-            f = fidelity(route)
-            if f >= fidelity_threshold:
-                used |= route.edges
-                allocations.append(PathAllocation(request, route.path, f, None))
-                continue
             reason = BlockReason.BELOW_THRESHOLD
         allocations.append(PathAllocation(request, None, None, reason))
         blocked += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +179,17 @@ def build_network(topology: str, n: int) -> NetworkGraph:
         classes=(None,) * num_nodes,
         adjacency=adjacency,
     )
+
+
+@lru_cache(maxsize=8)
+def base_network(topology: str, n: int) -> NetworkGraph:
+    """The unclassed network of a topology and width, built once and shared.
+
+    Routing frames and the sweep engine's classed graphs both derive from
+    it, so a classed graph made with ``dataclasses.replace`` shares its
+    adjacency with its routing frame.  It must not be mutated.
+    """
+    return build_network(topology, n)
 
 
 def assign_classes(

@@ -28,8 +28,11 @@ from qrepnet import (
     sweep_xi,
     two_class_fidelity,
 )
-from qrepnet import routing
-from qrepnet.routing import _fidelity_scorer, allocate_batch, _palette, cheapest_route, network_frame
+from qrepnet import experiment, routing
+from qrepnet.routing import (
+    _fidelity_scorer, allocate_batch, _palette, cheapest_route, network_frame
+)
+from qrepnet.topology import base_network
 
 SMALL = ExperimentConfig(
     topology=CYLINDER, num_pair_draws=2, num_class_draws=10, xi_values=(0.0, 0.4, 0.8, 1.0)
@@ -294,8 +297,6 @@ def test_memoised_scorer_equals_scoring_the_composition():
 def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch):
     """Sweeps serve each (xi, pairing, class draw) batch with one call of the
     public batch router, so tracing that function sees every batch."""
-    import qrepnet.experiment as experiment
-
     calls = []
 
     def counted(graph, requests, *args):
@@ -325,8 +326,6 @@ def test_routing_memo_changes_no_sweep():
 def test_blocking_study_is_one_pass_per_mapping(monkeypatch):
     """Each mapping serves all thresholds in one engine pass, and its
     blocking probabilities equal those of one sweep per threshold."""
-    import qrepnet.experiment as experiment
-
     passes = []
     engine = experiment._sweep
 
@@ -351,26 +350,78 @@ def test_blocking_study_is_one_pass_per_mapping(monkeypatch):
 
 def test_routing_memo_holds_one_cost_vector(monkeypatch):
     """Every route table the memo builds during an aware sweep serves one
-    cost vector only, and the memo left behind holds exactly that vector's
-    cheapest routes."""
-    tables = []  # kept alive so that table ids stay unique
+    cost vector only, every search state and served entry belongs to one
+    classed graph only, and the memo left behind holds exactly the last
+    graph's cheapest routes and scores."""
+    routers = []  # kept alive so that table ids stay unique
     build = routing._router
 
     def recorded(*args):
         router = build(*args)
-        tables.append((router.routes, router.costs))
+        routers.append(router)
         return router
 
     monkeypatch.setattr(routing, "_router", recorded)
-    sweep_xi(replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4))
+    cfg = replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4)
+    sweep_xi(cfg)
     costs_of = {}
-    for routes, costs in tables:
-        assert costs_of.setdefault(id(routes), costs) == costs
+    for router in routers:
+        assert costs_of.setdefault(id(router.routes), router.costs) == router.costs
     assert len(costs_of) > 1
+    graphs = {id(router.classes) for router in routers}
+    for table in ("searches", "served"):
+        assert len({id(getattr(router, table)) for router in routers}) == len(graphs)
     last = routing._last
-    assert last.routes is tables[-1][0]
+    assert last is routers[-1]
     for (source, destination, used), route in last.routes.items():
         assert route == cheapest_route(last.frame, last.costs, source, destination, used)
+    graph = replace(base_network(cfg.topology, cfg.n), classes=last.classes)
+    assert last.served
+    for key, (route, fidelity) in last.served.items():
+        assert route == last.routes[key]
+        assert fidelity == (route and end_to_end_fidelity(
+            path_composition(graph, route.path), cfg.link_fidelity
+        ))
+    assert last.searches
+    for (destination, used), search in last.searches.items():
+        for source in graph.source_ids:
+            assert cheapest_route(
+                last.frame, last.costs, source, destination, used, search
+            ) == cheapest_route(last.frame, last.costs, source, destination, used)
+
+
+def test_each_destination_and_residual_is_searched_once_per_graph(monkeypatch):
+    """During an aware sweep, each (classed graph, destination, residual
+    mask) starts one reverse search at most: every route toward that
+    destination on that residual resumes the same search state."""
+    alive = []  # routers and states, kept alive so that their ids stay unique
+    states = {}
+    route = routing.cheapest_route
+
+    def counted(*args):
+        _, _, _, destination, used, *search = args
+        # A call without a search state searches afresh.
+        state = search[0] if search else object()
+        alive.append((routing._last, state))
+        states.setdefault((id(routing._last), destination, used), set()).add(id(state))
+        return route(*args)
+
+    monkeypatch.setattr(routing, "cheapest_route", counted)
+    sweep_xi(replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4))
+    assert all(len(ids) == 1 for ids in states.values())
+    assert len(states) < len(alive)
+
+
+def test_sweep_graphs_share_the_routing_frame_adjacency():
+    """Classed graphs of a sweep share the adjacency of their routing frame,
+    which ``network_frame`` recognises by identity; an equal graph built by
+    a caller maps to the same frame by comparison."""
+    [(_, [[(graph, _, _)]])] = experiment._sweep(SMALL, (0.4,), (0.0,), (0,), (0,))
+    frame, used = network_frame(graph)
+    assert graph.adjacency is frame.adjacency and used == 0
+    built = build_network(SMALL.topology, SMALL.n)
+    assert built.adjacency is not frame.adjacency
+    assert network_frame(built) == (frame, 0)
 
 
 def test_stats_helpers():

@@ -7,6 +7,8 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qrepnet import (
@@ -369,6 +371,74 @@ def test_shared_cache_follows_mapping_classes_and_link_fidelity():
     ]:
         memoised = allocate_batch(graph, reqs, mapping, 0.3, link_fidelity)
         assert memoised == reference_batch(graph, reqs, mapping, 0.3, link_fidelity)
+
+
+WEIGHTS = (
+    UNIT,
+    noise_aware_mapping(LQ.eta),
+    noise_aware_mapping(LQ.eta, 0.1),
+    noise_aware_mapping(LQ.eta, 2.5),
+)
+
+
+@st.composite
+def residual_networks(draw):
+    """Copies of one random classed 3x3 or 4x4 grid or cylinder, each lacking
+    a random set of edges; the copies share one classes tuple.
+
+    A 4x4 copy lacks at least a sixth of its edges, as a residual network
+    does once a request or two is served; that keeps the exhaustive search
+    of the reference short (an intact 4x4 cylinder has about 1,500 simple
+    paths per request).
+    """
+    base = build_network(draw(st.sampled_from((GRID, CYLINDER))), draw(st.sampled_from((3, 4))))
+    hq = draw(st.lists(st.booleans(), min_size=base.num_transport, max_size=base.num_transport))
+    classed = base.with_classes({v: HQ if h else LQ for v, h in zip(base.transport_ids, hq)})
+    edges = list(classed.edges())
+    cut_sets = st.sets(
+        st.sampled_from(edges),
+        min_size=len(edges) // 6 if base.n == 4 else 0,
+        max_size=len(edges) // 2,
+    )
+    residuals = []
+    for cut in draw(st.lists(cut_sets, min_size=1, max_size=3)):
+        residual = classed.copy()
+        for u, v in cut:
+            residual.remove_edge(u, v)
+        residuals.append(residual)
+    return residuals
+
+
+@settings(max_examples=60)
+@given(residual_networks(), st.sampled_from(WEIGHTS), st.data())
+def test_shared_searches_match_brute_force(residuals, mapping, data):
+    """Sources served in a random order through one shared reverse search per
+    (destination, residual network) each get the exhaustive optimum.
+
+    Every request is a batch of its own on one residual copy, and the copies
+    share a classes tuple, so one router serves them all and each request
+    toward a (destination, residual) resumes the search earlier ones left.
+    """
+    graph = residuals[0]
+    destinations = data.draw(
+        st.sets(st.sampled_from(graph.destination_ids), min_size=1, max_size=2)
+    )
+    queries = [
+        (residual, source, destination)
+        for residual in range(len(residuals))
+        for source in graph.source_ids
+        for destination in destinations
+    ]
+    routing._last = None
+    for residual, source, destination in data.draw(st.permutations(queries)):
+        g = residuals[residual]
+        [allocation], _ = allocate_batch(
+            g, [RoutingRequest(source, destination, 1)], mapping, 0.0, 0.975
+        )
+        want = brute_force_best(g, source, destination, mapping)
+        assert allocation.path == (None if want is None else want[1])
+    masks = {routing.network_frame(g)[1] for g in residuals}
+    assert set(routing._last.searches) == {(d, used) for d in destinations for used in masks}
 
 
 def test_routing_rejects_edges_outside_the_base_network():
