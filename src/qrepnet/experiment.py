@@ -15,20 +15,24 @@ monotonically with ``xi`` within a draw.  Pairings and establishment orders
 are likewise shared across ``xi`` and across weight mappings, which makes
 curve comparisons paired rather than independent.
 
-Every study reduces over one trial engine, :func:`_sweep`.  It draws each
-pairing, upgrade permutation and establishment order once, and serves every
-batch with :func:`~qrepnet.routing.allocate_batch`.  Each classed graph
-serves all batches of all thresholds back to back, so the routing module's
-memo of the last graph routes and scores each (endpoints, residual network)
-of them once.
+Every study reduces over one trial engine, :func:`_sweep`, which runs class
+draw by class draw, walks ``xi`` upward within a draw so that routing can
+carry its searches over, and serves every batch with one
+:func:`~qrepnet.routing.allocate_batch` call.  Each study folds each batch
+the moment it is served into state that does not grow with the class draws
+(counts, histograms of the discrete fidelities); only the noise-awareness
+study keeps its samples, because its CSV lists every one.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from math import isfinite
+from itertools import accumulate, chain
+from math import floor, isfinite, lcm
 
 import numpy as np
 
@@ -170,21 +174,6 @@ def draw_pairing(seed: int, n: int, pairing_index: int) -> tuple[int, ...]:
     return tuple(int(x) for x in rng.permutation(n))
 
 
-def _class_rng(seed: int, class_draw: int) -> np.random.Generator:
-    return _substream(seed, _CLASS_STREAM, class_draw)
-
-
-def _shuffle_rng(seed: int, pairing_index: int, class_draw: int) -> np.random.Generator:
-    return _substream(seed, _SHUFFLE_STREAM, pairing_index, class_draw)
-
-
-def _pairs(graph: NetworkGraph, permutation: Sequence[int]) -> list[tuple[int, int]]:
-    return [
-        (graph.source_id(row), graph.destination_id(int(permutation[row])))
-        for row in range(graph.n)
-    ]
-
-
 @dataclass(frozen=True)
 class RequestOutcome:
     """Per-request result of one trial; blocked requests carry no path data."""
@@ -209,60 +198,56 @@ class TrialRecord:
         return sum(1 for o in self.outcomes if o.blocked is not None)
 
 
-_Batches = list[tuple[NetworkGraph, list[PathAllocation], int]]
-
-
 def _sweep(
     config: ExperimentConfig,
     xi_values: Sequence[float],
     f_bars: Sequence[float],
     pairing_indices: Sequence[int] | None = None,
     class_draws: Sequence[int] | None = None,
-) -> Iterator[tuple[float, list[_Batches]]]:
-    """The trial engine: every batch of a config, grouped by upgrade fraction.
+) -> Iterator[tuple[int, int, int, NetworkGraph, list[PathAllocation], int]]:
+    """The trial engine: every batch of a config, class draw by class draw.
 
-    Yields ``(xi, served)`` per upgrade fraction in order; ``served[i]``
-    lists ``(graph, allocations, blocked)`` for the threshold ``f_bars[i]``
-    per (pairing, class draw), pairings outermost, with ``graph`` the
-    classed network and ``allocations`` and ``blocked`` what
-    :func:`~qrepnet.routing.allocate_batch` returned for the batch.
-    Pairings, upgrade permutations and establishment orders are drawn once
-    and shared by every ``xi`` and threshold.  Each (xi, class draw) builds
-    one classed graph and serves all its batches, threshold by threshold,
-    one after another, so node costs are evaluated and routes memoised once
-    per class draw.
+    Yields ``(i, j, p, graph, allocations, blocked)`` per batch the moment
+    :func:`~qrepnet.routing.allocate_batch` returns it, ``i``, ``j`` and
+    ``p`` indexing ``xi_values``, ``f_bars`` and the pairings, ``graph``
+    being the classed network.  Pairings are drawn once.  Each class draw
+    draws its upgrade permutation and establishment orders, drops them once
+    done and walks xi in ascending upgrade count, so each graph only lowers
+    the node costs of the last and routing carries its searches over.  Each
+    graph serves all its batches back to back, threshold by threshold.
     """
     seed = config.seed
     base = base_network(config.topology, config.n)
     num = base.num_transport
     pairing_indices = range(config.num_pair_draws) if pairing_indices is None else pairing_indices
     class_draws = range(config.num_class_draws) if class_draws is None else class_draws
-    upgrade_orders = [
-        [int(v) for v in _class_rng(seed, c).permutation(num)] for c in class_draws
+    pairs = [
+        [(base.source_id(row), base.destination_id(to))
+         for row, to in enumerate(draw_pairing(seed, config.n, p))]
+        for p in pairing_indices
     ]
-    orders = []
-    for p in pairing_indices:
-        pairs = _pairs(base, draw_pairing(seed, config.n, p))
-        orders.append([shuffle_requests(pairs, _shuffle_rng(seed, p, c)) for c in class_draws])
+    upgrades = sorted((round(xi * num), i) for i, xi in enumerate(xi_values))
     hq, lq = config.hq_class(), config.lq_class()
     mapping = config.weight_mapping()
     tiers = base.classes[num:]
 
-    for xi in xi_values:
-        k = round(xi * num)
-        served = [[[] for _ in orders] for _ in f_bars]
-        for c, upgrade_order in enumerate(upgrade_orders):
-            classes = [lq] * num
+    for c in class_draws:
+        upgrade_order = _substream(seed, _CLASS_STREAM, c).permutation(num).tolist()
+        orders = [
+            shuffle_requests(pairing, _substream(seed, _SHUFFLE_STREAM, p, c))
+            for p, pairing in zip(pairing_indices, pairs)
+        ]
+        classes = [lq] * num
+        for k, i in upgrades:
             for v in upgrade_order[:k]:
                 classes[v] = hq
             graph = replace(base, classes=tuple(classes) + tiers)
-            for f_bar, by_pairing in zip(f_bars, served):
-                for pairing_orders, pairing_served in zip(orders, by_pairing):
+            for j, f_bar in enumerate(f_bars):
+                for p, order in enumerate(orders):
                     allocations, blocked = allocate_batch(
-                        graph, pairing_orders[c], mapping, f_bar, config.link_fidelity
+                        graph, order, mapping, f_bar, config.link_fidelity
                     )
-                    pairing_served.append((graph, allocations, blocked))
-        yield xi, [[b for batches in by_pairing for b in batches] for by_pairing in served]
+                    yield i, j, p, graph, allocations, blocked
 
 
 def run_trial(
@@ -271,7 +256,7 @@ def run_trial(
     """Run one full allocation batch and report the per-request outcomes."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
-    [(_, [[(graph, allocations, _)]])] = _sweep(
+    [(_, _, _, graph, allocations, _)] = _sweep(
         config, (xi,), (config.f_bar,), (pairing_index,), (class_draw,)
     )
     hq, lq = config.hq_class(), config.lq_class()
@@ -290,6 +275,21 @@ def run_trial(
     )
 
 
+def _quantile(values: Sequence[float], cumulative: Sequence[int], q: float) -> float:
+    """``np.quantile`` of the sample with sorted distinct ``values`` and
+    ``cumulative`` counts, bit for bit: numpy's linear method, step by step."""
+    n = cumulative[-1]
+    h = (n - 1) * q
+    if h >= n - 1:
+        return values[-1]
+    lo = floor(h)
+    a = values[bisect_right(cumulative, lo)]
+    b = values[bisect_right(cumulative, lo + 1)]
+    t = h - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 @dataclass(frozen=True)
 class FiveNumberSummary:
     """Box-plot numbers: quartiles plus Tukey whiskers at 1.5 IQR fences."""
@@ -305,21 +305,28 @@ class FiveNumberSummary:
 
     @classmethod
     def from_samples(cls, values: Sequence[float]) -> "FiveNumberSummary":
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
+        return cls.from_counts(Counter(map(float, values)))
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[float, int]) -> "FiveNumberSummary":
+        """Summarise the sample in which each value occurs ``counts[value]`` times."""
+        values = sorted(counts)
+        if not values:
             raise ValueError("cannot summarise an empty sample")
-        q1, median, q3 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
+        cumulative = list(accumulate(map(counts.__getitem__, values)))
+        q1, median, q3 = (_quantile(values, cumulative, q) for q in (0.25, 0.5, 0.75))
         iqr = q3 - q1
-        inside = arr[(arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)]
+        low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+        inside = [v for v in values if low <= v <= high]
         return cls(
-            minimum=float(arr.min()),
+            minimum=values[0],
             q1=q1,
             median=median,
             q3=q3,
-            maximum=float(arr.max()),
-            lower_whisker=float(inside.min()),
-            upper_whisker=float(inside.max()),
-            num_outliers=int(arr.size - inside.size),
+            maximum=values[-1],
+            lower_whisker=inside[0],
+            upper_whisker=inside[-1],
+            num_outliers=cumulative[-1] - sum(map(counts.__getitem__, inside)),
         )
 
 
@@ -331,12 +338,24 @@ class SampleStats:
 
     @classmethod
     def from_samples(cls, values: Sequence[float]) -> "SampleStats":
-        arr = np.asarray(values, dtype=float)
-        return cls(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            summary=FiveNumberSummary.from_samples(arr),
-        )
+        return cls.from_counts(Counter(map(float, values)))
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[float, int]) -> "SampleStats":
+        """Stats of the sample in which each value occurs ``counts[value]`` times.
+
+        The mean is the exact sum rounded once, so it does not depend on
+        the order in which samples were counted: every value is an exact
+        binary fraction, so scaled by the least common multiple of their
+        denominators the values sum as integers, and integer division
+        rounds once.
+        """
+        summary = FiveNumberSummary.from_counts(counts)
+        count = sum(counts.values())
+        ratios = [(value.as_integer_ratio(), k) for value, k in counts.items()]
+        scale = lcm(*(q for (_, q), _ in ratios))
+        total = sum(p * (scale // q) * k for (p, q), k in ratios)
+        return cls(count=count, mean=total / (scale * count), summary=summary)
 
 
 @dataclass(frozen=True)
@@ -367,62 +386,35 @@ class SweepSummary:
 
     @property
     def overall_mean_fidelity(self) -> float | None:
-        total = 0
-        acc = 0.0
-        for x in self.per_xi:
-            if x.fidelity is not None:
-                acc += x.fidelity.mean * x.fidelity.count
-                total += x.fidelity.count
-        return acc / total if total else None
+        stats = [x.fidelity for x in self.per_xi if x.fidelity is not None]
+        total = sum(s.count for s in stats)
+        return sum(s.mean * s.count for s in stats) / total if total else None
 
     @property
     def overall_mean_path_nodes(self) -> float | None:
-        total = 0
-        acc = 0.0
-        for x in self.per_xi:
-            allocated = x.num_requests - x.num_blocked
-            if x.mean_path_nodes is not None:
-                acc += x.mean_path_nodes * allocated
-                total += allocated
-        return acc / total if total else None
+        allocated = [x.num_requests - x.num_blocked for x in self.per_xi]
+        total = sum(allocated)
+        return sum(
+            x.mean_path_nodes * k for x, k in zip(self.per_xi, allocated) if k
+        ) / total if total else None
 
 
-class _XiAccumulator:
-    """Collects the served requests of one xi and folds them into stats."""
-
-    def __init__(self, xi: float) -> None:
-        self.xi = xi
-        self.num_requests = 0
-        self.num_blocked = 0
-        self.fidelities: list[float] = []
-        self.path_nodes: list[int] = []
-
-    def add(self, allocations: Sequence[PathAllocation]) -> None:
-        self.num_requests += len(allocations)
-        for a in allocations:
-            if a.path is None:
-                self.num_blocked += 1
-                continue
-            self.fidelities.append(a.fidelity)
-            self.path_nodes.append(len(a.path))
-
-    def summary(self) -> XiSummary:
-        fidelities = np.asarray(self.fidelities, dtype=float)
-        # Boolean selection keeps each group's samples in serving order.
-        path_nodes = np.asarray(self.path_nodes)
-        return XiSummary(
-            xi=self.xi,
-            num_requests=self.num_requests,
-            num_blocked=self.num_blocked,
-            fidelity=SampleStats.from_samples(fidelities) if self.fidelities else None,
-            mean_path_nodes=(
-                float(np.mean(self.path_nodes)) if self.path_nodes else None
-            ),
-            by_path_nodes={
-                int(k): SampleStats.from_samples(fidelities[path_nodes == k])
-                for k in np.unique(path_nodes)
-            },
-        )
+def _xi_summary(
+    xi: float, num_requests: int, histogram: Mapping[tuple[int, float], int]
+) -> XiSummary:
+    """Stats of one upgrade fraction from its (path node count, fidelity)
+    counts; every request the histogram lacks was blocked."""
+    by_nodes: dict[int, Counter[float]] = {}
+    for (nodes, fidelity), count in sorted(histogram.items()):
+        by_nodes.setdefault(nodes, Counter())[fidelity] = count
+    stats = {nodes: SampleStats.from_counts(counts) for nodes, counts in by_nodes.items()}
+    allocated = sum(histogram.values())
+    return XiSummary(
+        xi, num_requests, num_requests - allocated,
+        SampleStats.from_counts(sum(by_nodes.values(), Counter())) if allocated else None,
+        sum(nodes * s.count for nodes, s in stats.items()) / allocated if allocated else None,
+        stats,
+    )
 
 
 def _warn_off_grid(xi_values: Sequence[float], n: int) -> None:
@@ -441,12 +433,12 @@ def sweep_xi(config: ExperimentConfig) -> SweepSummary:
     """Run the full trial grid of a config and aggregate per upgrade fraction."""
     xi_values = config.resolved_xi()
     _warn_off_grid(xi_values, config.n)
-    per_xi = []
-    for xi, (batches,) in _sweep(config, xi_values, (config.f_bar,)):
-        accumulator = _XiAccumulator(xi)
-        for _, allocations, _ in batches:
-            accumulator.add(allocations)
-        per_xi.append(accumulator.summary())
+    requests = [0] * len(xi_values)
+    histograms: list[Counter[tuple[int, float]]] = [Counter() for _ in xi_values]
+    for i, _, _, _, allocations, _ in _sweep(config, xi_values, (config.f_bar,)):
+        requests[i] += len(allocations)
+        histograms[i].update((len(a.path), a.fidelity) for a in allocations if a.path)
+    per_xi = map(_xi_summary, xi_values, requests, histograms)
     return SweepSummary(config=config, per_xi=tuple(per_xi))
 
 
@@ -497,16 +489,21 @@ def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
     profiles: list[ThetaProfile] = []
     for mapping in MAPPINGS:
         cfg = replace(config, mapping=mapping, xi_values=tuple(xi_values))
-        for xi, (batches,) in _sweep(cfg, xi_values, (cfg.f_bar,)):
-            samples: dict[int, list[float]] = {t: [] for t in range(1, config.n + 1)}
-            for _, allocations, _ in batches:
-                for a in allocations:
-                    if a.path is not None:
-                        samples[a.request.theta].append(a.fidelity)
-            profiles.extend(
-                ThetaProfile(mapping=mapping, xi=xi, theta=theta, fidelities=tuple(fidelities))
-                for theta, fidelities in samples.items()
-            )
+        # samples[i][theta - 1][p], joined pairing by pairing: pairing-major order.
+        samples: list[list[list[list[float]]]] = [
+            [[[] for _ in range(config.num_pair_draws)] for _ in range(config.n)]
+            for _ in xi_values
+        ]
+        for i, _, p, _, allocations, _ in _sweep(cfg, xi_values, (cfg.f_bar,)):
+            by_theta = samples[i]
+            for a in allocations:
+                if a.path is not None:
+                    by_theta[a.request.theta - 1][p].append(a.fidelity)
+        profiles.extend(
+            ThetaProfile(mapping, xi, theta, tuple(chain.from_iterable(by_pairing)))
+            for xi, by_theta in zip(xi_values, samples)
+            for theta, by_pairing in enumerate(by_theta, 1)
+        )
     return tuple(profiles)
 
 
@@ -535,13 +532,16 @@ def study_blocking(
     _warn_off_grid(xi_values, config.n)
     points: list[BlockingPoint] = []
     for mapping in MAPPINGS:
-        curves: list[list[BlockingPoint]] = [[] for _ in f_bar_values]
+        # counts[j][i]: requests and blocks at threshold j and upgrade fraction i.
+        counts = [[[0, 0] for _ in xi_values] for _ in f_bar_values]
         cfg = replace(config, mapping=mapping)
-        for xi, served in _sweep(cfg, xi_values, f_bar_values):
-            for f_bar, batches, curve in zip(f_bar_values, served, curves):
-                requests = sum(len(allocations) for _, allocations, _ in batches)
-                blocked = sum(count for _, _, count in batches)
-                curve.append(BlockingPoint(mapping, f_bar, xi, blocked / requests))
-        for curve in curves:
-            points.extend(curve)
+        for i, j, _, _, allocations, blocked in _sweep(cfg, xi_values, f_bar_values):
+            count = counts[j][i]
+            count[0] += len(allocations)
+            count[1] += blocked
+        points.extend(
+            BlockingPoint(mapping, f_bar, xi, blocked / requests)
+            for f_bar, by_xi in zip(f_bar_values, counts)
+            for xi, (requests, blocked) in zip(xi_values, by_xi)
+        )
     return tuple(points)

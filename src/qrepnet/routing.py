@@ -22,8 +22,12 @@ residual mask), the fidelity of each class sequence a route meets, one
 resumable reverse search per (destination, residual mask) and the (route,
 fidelity) served per (source, destination, residual mask).  A later graph
 inherits the routes only while the node costs are equal, so the routes of
-one cost vector at most are held at any time; searches and served entries
-live and die with their graph.
+one cost vector at most are held at any time.  It inherits the searches
+while no node cost rises: a search is repaired on its first use on the new
+graph and then moves into the new graph's table, so the searches of two
+graphs at most are alive.  Served entries live and die with their graph.
+The module-level :data:`counters` count batches, requests and the work done
+on memo misses.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from enum import Enum
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import inf, isfinite, lcm
-from operator import attrgetter
+from operator import attrgetter, le
 from typing import NamedTuple
 
 import numpy as np
@@ -191,11 +195,10 @@ class Frame(NamedTuple):
 
     ``neighbours[v]`` lists ``(w, bit)`` for every neighbour ``w`` of ``v`` in
     increasing id order, ``bit`` being the edge's flag in a residual mask;
-    ``edges`` lists every edge once as ``(u, v, bit)``.  ``key`` identifies
-    the network in route memos, and ``adjacency`` is the base network's own.
+    ``edges`` lists every edge once as ``(u, v, bit)``, and ``adjacency``
+    is the base network's own.
     """
 
-    key: tuple[str, int]
     edges: tuple[tuple[int, int, int], ...]
     neighbours: tuple[tuple[tuple[int, int], ...], ...]
     adjacency: Mapping[int, set[int]]
@@ -210,7 +213,6 @@ def _base_frame(topology: str, n: int) -> Frame:
         for v in range(graph.num_nodes)
     )
     return Frame(
-        (topology, n),
         tuple((u, v, bit) for (u, v), bit in bits.items()),
         neighbours,
         graph.adjacency,
@@ -258,6 +260,24 @@ def _search(frame: Frame, destination: int) -> Search:
     return Search(togo, [(0, destination)])
 
 
+def _repair(search: Search, lowered: Sequence[int]) -> Search:
+    """Carry a search over to costs that fell at the nodes ``lowered`` only.
+
+    Every label is the cost of a real path, which can only have got
+    cheaper, so it still bounds the cost to go from above.  Only a node
+    whose own cost fell can offer its neighbours a cheaper label, so each
+    such node with a finite label goes back on the heap at its label, and
+    resuming relaxes its neighbours at the new cost.  This is the
+    decrease-only case of dynamic shortest paths (Ramalingam & Reps,
+    J. Algorithms 21(2), 1996).
+    """
+    togo, heap = search
+    for u in lowered:
+        if togo[u] < inf:
+            heappush(heap, (togo[u], u))
+    return search
+
+
 def cheapest_route(
     frame: Frame,
     costs: Sequence[int],
@@ -279,10 +299,13 @@ def cheapest_route(
     label below the source's.
 
     ``search``, if given, is the state that earlier calls toward
-    ``destination`` on the same ``used`` and ``costs`` left behind, and the
-    search resumes where it stopped.  A label below every pending entry is
-    final, and resuming only makes more labels final, so the route is the
-    one a fresh search finds.
+    ``destination`` on the same ``used`` left behind, under ``costs`` or
+    under costs no lower at any node and then passed through
+    :func:`_repair`, and the search resumes where it stopped.  Every label
+    then bounds its node's cost to go from above, and every node that may
+    still lower a neighbour's label has an entry at its own label.  So a
+    label below every pending entry is final, and resuming only makes more
+    labels final: the route is the one a fresh search finds.
     """
     neighbours = frame.neighbours
     togo, heap = _search(frame, destination) if search is None else search
@@ -348,7 +371,9 @@ class _Router(NamedTuple):
     ``known`` lists the classes behind the codes of the score memo
     ``scores``.  ``searches`` maps (destination, residual mask) to its
     :class:`Search`, and ``served`` maps (source, destination, residual
-    mask) to the (route, fidelity) served on this graph.
+    mask) to the (route, fidelity) served on this graph.  ``carried`` is
+    the previous graph's ``searches``, which this graph may take over after
+    pushing back the nodes ``lowered``, whose costs fell.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -362,7 +387,30 @@ class _Router(NamedTuple):
     fidelity: Callable[[Route], float]
     searches: dict
     served: dict
+    carried: dict
+    lowered: tuple[int, ...]
 
+
+@dataclass
+class Counters:
+    """Work done by :func:`allocate_batch`.
+
+    ``batches`` counts calls and ``requests`` the requests they served.
+    The rest count memo misses: ``walks`` the routes computed, ``searches``
+    the reverse searches started afresh and ``carried`` those taken over
+    from the previous classed graph and repaired.  A served hit counts
+    nothing.
+    """
+
+    batches: int = 0
+    requests: int = 0
+    searches: int = 0
+    carried: int = 0
+    walks: int = 0
+
+
+# Counts since the module was imported; readers take differences.
+counters = Counters()
 
 # The last router built; the whole routing memo of the module.  Every memo
 # entry is a pure function of its key, so a stale or shared slot can cost
@@ -380,8 +428,13 @@ def _router(
     batches of one class draw do.  A mapping is taken to be a pure function
     of the noise rate.  A new router takes over the last one's routes while
     the frame and the node costs are equal, and its fidelity scores while
-    the link fidelity is equal and the graph brings no class they lack.
-    Searches and served entries are never taken over.
+    the link fidelity is equal and the graph brings no class they lack.  It
+    may take over the last one's searches while the frame and the mapping
+    are the same and no node's cost rose, as when a sweep upgrades more
+    nodes of one class draw; a search is repaired on its first use (see
+    :func:`_take_search`).  Only the last graph's own searches are offered,
+    so the searches of two graphs at most are alive.  Served entries are
+    never taken over.
     """
     global _last
     last = _last
@@ -397,18 +450,39 @@ def _router(
     costs = _node_costs(mapping, palette, codes)
     routes = {}
     known, scores = palette, {}
+    carried, lowered = {}, ()
     if last is not None:
         if last.frame is frame and last.costs == costs:
             routes = last.routes
+        if last.frame is frame and last.mapping is mapping and all(map(le, costs, last.costs)):
+            carried = last.searches
+            lowered = tuple(v for v, (c, was) in enumerate(zip(costs, last.costs)) if c < was)
         if last.link_fidelity == link_fidelity and all(cls in last.known for cls in palette):
             known, scores = last.known, last.scores
             recode = (0, *(known.index(cls) + 1 for cls in palette))
             codes = tuple(map(recode.__getitem__, codes))
     _last = _Router(
         graph.classes, frame, mapping, link_fidelity, costs, routes, known, scores,
-        _fidelity_scorer(known, codes, link_fidelity, scores), {}, {},
+        _fidelity_scorer(known, codes, link_fidelity, scores), {}, {}, carried, lowered,
     )
     return _last
+
+
+def _take_search(router: _Router, destination: int, used: int) -> Search:
+    """Give the router's graph its search toward ``destination`` on ``used``.
+
+    A search the previous graph left for the key moves over, repaired for
+    the nodes whose cost fell; otherwise a fresh one starts.
+    """
+    search = router.carried.pop((destination, used), None)
+    if search is None:
+        counters.searches += 1
+        search = _search(router.frame, destination)
+    else:
+        counters.carried += 1
+        _repair(search, router.lowered)
+    router.searches[destination, used] = search
+    return search
 
 
 def shortest_path(
@@ -454,7 +528,8 @@ def allocate_batch(
     :func:`_router`), so consecutive calls on one graph, whatever their
     thresholds, route and score each (endpoints, residual network) once, and
     all routes toward one destination on one residual network share one
-    resumed reverse search.
+    resumed reverse search, which a graph whose node costs fell from the
+    previous graph's carries over.  Each call adds to :data:`counters`.
     """
     ordered = sorted(requests, key=_theta)
     if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
@@ -464,6 +539,8 @@ def allocate_batch(
     router = _router(graph, frame, mapping, link_fidelity)
     costs, routes = router.costs, router.routes
     searches, served = router.searches, router.served
+    counters.batches += 1
+    counters.requests += len(ordered)
     allocations = []
     blocked = 0
     for request in ordered:
@@ -473,9 +550,10 @@ def allocate_batch(
         if hit is None:
             route = routes.get(key, _UNROUTED)
             if route is _UNROUTED:
+                counters.walks += 1
                 search = searches.get((destination, used))
                 if search is None:
-                    search = searches[destination, used] = _search(frame, destination)
+                    search = _take_search(router, destination, used)
                 route = routes[key] = cheapest_route(
                     frame, costs, source, destination, used, search
                 )

@@ -1,15 +1,21 @@
 """Tests for the Monte-Carlo sweep drivers and their randomness contract."""
 
+import random
+import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qrepnet import (
     AWARE,
     CYLINDER,
     GRID,
+    MAPPINGS,
     UNAWARE,
     BlockReason,
     ExperimentConfig,
@@ -350,15 +356,20 @@ def test_blocking_study_is_one_pass_per_mapping(monkeypatch):
 
 def test_routing_memo_holds_one_cost_vector(monkeypatch):
     """Every route table the memo builds during an aware sweep serves one
-    cost vector only, every search state and served entry belongs to one
-    classed graph only, and the memo left behind holds exactly the last
-    graph's cheapest routes and scores."""
+    cost vector only, every search state is the graph's own or carried from
+    the immediately previous graph, whose costs were no lower anywhere,
+    every served entry belongs to one classed graph only, and the memo left
+    behind holds exactly the last graph's cheapest routes and scores."""
     routers = []  # kept alive so that table ids stay unique
+    offered = []  # per router, the searches its table held when the next was built
     build = routing._router
 
     def recorded(*args):
         router = build(*args)
-        routers.append(router)
+        if not routers or router is not routers[-1]:
+            if routers:
+                offered.append(set(map(id, routers[-1].searches.values())))
+            routers.append(router)
         return router
 
     monkeypatch.setattr(routing, "_router", recorded)
@@ -368,9 +379,22 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch):
     for router in routers:
         assert costs_of.setdefault(id(router.routes), router.costs) == router.costs
     assert len(costs_of) > 1
-    graphs = {id(router.classes) for router in routers}
-    for table in ("searches", "served"):
-        assert len({id(getattr(router, table)) for router in routers}) == len(graphs)
+    assert len({id(router.classes) for router in routers}) == len(routers)
+    assert len({id(router.served) for router in routers}) == len(routers)
+    earlier: set[int] = set()
+    carried = 0
+    for previous, router, held in zip(routers, routers[1:], offered):
+        assert router.carried is previous.searches or router.carried == {}
+        if router.carried is previous.searches:
+            assert all(c <= was for c, was in zip(router.costs, previous.costs))
+        earlier |= held
+        for search in router.searches.values():
+            if id(search) in earlier:
+                assert id(search) in held and router.carried is previous.searches
+                carried += 1
+    assert carried > 0
+    alive = [id(search) for router in routers for search in router.searches.values()]
+    assert len(alive) == len(set(alive))
     last = routing._last
     assert last is routers[-1]
     for (source, destination, used), route in last.routes.items():
@@ -416,7 +440,7 @@ def test_sweep_graphs_share_the_routing_frame_adjacency():
     """Classed graphs of a sweep share the adjacency of their routing frame,
     which ``network_frame`` recognises by identity; an equal graph built by
     a caller maps to the same frame by comparison."""
-    [(_, [[(graph, _, _)]])] = experiment._sweep(SMALL, (0.4,), (0.0,), (0,), (0,))
+    [(_, _, _, graph, _, _)] = experiment._sweep(SMALL, (0.4,), (0.0,), (0,), (0,))
     frame, used = network_frame(graph)
     assert graph.adjacency is frame.adjacency and used == 0
     built = build_network(SMALL.topology, SMALL.n)
@@ -432,3 +456,107 @@ def test_stats_helpers():
     assert s.summary.num_outliers == 1
     with pytest.raises(ValueError):
         FiveNumberSummary.from_samples([])
+
+
+def numpy_five_numbers(values):
+    """The numpy summary the counted one replaced, kept as its reference."""
+    arr = np.asarray(values, dtype=float)
+    q1, median, q3 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
+    iqr = q3 - q1
+    inside = arr[(arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)]
+    return FiveNumberSummary(
+        float(arr.min()), q1, median, q3, float(arr.max()),
+        float(inside.min()), float(inside.max()), int(arr.size - inside.size),
+    )
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80)
+    )
+)
+def test_counted_stats_match_numpy(values):
+    """Stats built from value counts reproduce ``np.quantile`` bit for bit,
+    and their mean is the exact mean rounded once, in any sample order."""
+    assert FiveNumberSummary.from_samples(values) == numpy_five_numbers(values)
+    stats = SampleStats.from_samples(values)
+    assert stats.count == len(values)
+    assert stats.mean == float(sum(map(Fraction, values)) / len(values))
+    assert stats.mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-300)
+    assert SampleStats.from_samples(values[::-1]) == stats
+
+
+def test_xi_order_and_repeats_change_no_point():
+    """Upgrade fractions given in descending or shuffled order, one of them
+    twice, give the points of the ascending run, in the order given.
+
+    Within a class draw the engine walks the fractions in ascending upgrade
+    count whatever their order.  Trials run one by one in descending order
+    raise node costs from each graph to the next, so routing must search
+    afresh there; they must match trials run on an empty memo.
+    """
+    xi_values = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    cfg = replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4, xi_values=xi_values)
+    f_bars = (0.0, 0.3)
+    per_xi = {x.xi: x for x in sweep_xi(cfg).per_xi}
+    points = {(p.mapping, p.f_bar, p.xi): p for p in study_blocking(cfg, f_bars)}
+    shuffled = list(xi_values) + [0.4]
+    random.Random(6).shuffle(shuffled)
+    for order in ((1.0, 0.8, 0.6, 0.4, 0.4, 0.2, 0.0), tuple(shuffled)):
+        reordered = replace(cfg, xi_values=order)
+        assert sweep_xi(reordered).per_xi == tuple(per_xi[xi] for xi in order)
+        assert study_blocking(reordered, f_bars) == tuple(
+            points[m, f, xi] for m in MAPPINGS for f in f_bars for xi in order
+        )
+    descending = [run_trial(cfg, xi, 1, 2) for xi in reversed(xi_values)]
+    for record in descending:
+        routing._last = None
+        assert record == run_trial(cfg, record.xi, 1, 2)
+
+
+def test_routing_counters_see_carried_searches(monkeypatch):
+    """The routing counters count every batch and request of a sweep, and an
+    aware sweep carries searches from one upgrade fraction to the next."""
+    monkeypatch.setattr(routing, "counters", routing.Counters())
+    routing._last = None
+    cfg = replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4)
+    sweep_xi(cfg)
+    counted = routing.counters
+    batches = len(cfg.xi_values) * cfg.num_pair_draws * cfg.num_class_draws
+    assert (counted.batches, counted.requests) == (batches, cfg.n * batches)
+    assert counted.searches > 0 and counted.carried > 0
+    # Each search taken, fresh or carried, serves a route computed at once.
+    assert counted.walks >= counted.searches + counted.carried
+
+
+def test_sweep_memory_is_flat_in_class_draws():
+    """Batches are folded as they are served, so the traced peak of a
+    blocking study plus an xi sweep does not grow with the class draws.
+
+    The routing memos are bounded by their key spaces (endpoints and
+    residual masks, class sequences), not by the draw count.  At n=3 with
+    xi of 0 and 1 only, every route meets one class and the memos fill
+    within 16 draws, so what could grow from 16 to 256 draws is the
+    engine's own state: buffering the batches of one xi grows the peak
+    nearly twentyfold.  CPython parks freed tuples, floats, lists and dicts
+    on free lists, where they stay traced; filling those lists before
+    tracing keeps them out of the peak.
+    """
+    cfg = replace(SMALL, n=3, xi_values=(0.0, 1.0))
+
+    def peak(draws):
+        routing._last = None
+        parked = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+        parked += [(i + 0.5, [i], {i: i}) for i in range(200)]
+        del parked
+        tracemalloc.start()
+        try:
+            study_blocking(replace(cfg, num_class_draws=draws))
+            sweep_xi(replace(cfg, num_class_draws=draws, f_bar=0.3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # lazy imports and set-up
+    small, large = peak(16), peak(256)
+    assert abs(large - small) <= 0.1 * small

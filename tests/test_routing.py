@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -439,6 +440,51 @@ def test_shared_searches_match_brute_force(residuals, mapping, data):
         assert allocation.path == (None if want is None else want[1])
     masks = {routing.network_frame(g)[1] for g in residuals}
     assert set(routing._last.searches) == {(d, used) for d in destinations for used in masks}
+
+
+@settings(max_examples=30)
+@given(residual_networks(), st.sampled_from(WEIGHTS), st.data())
+def test_repaired_searches_match_brute_force(residuals, mapping, data):
+    """Searches carried to a graph whose node costs fell route like fresh
+    ones, and a graph whose costs rose searches afresh.
+
+    Requests served on residual copies of one classed graph leave searches
+    behind.  The copies are then served again with a random non-empty set
+    of nodes switched to the cheaper class, in one new classes tuple, so no
+    cost rises and the new graph takes the searches over, pushing back the
+    nodes whose cost fell.  Last the old classes come back, which raises
+    the switched nodes' costs whenever the classes weigh differently.
+    Every route of every phase must be the exhaustive optimum.
+    """
+    graph = residuals[0]
+    weight = {cls: mapping(cls.eta) for cls in (HQ, LQ)}
+    cheap = min((HQ, LQ), key=weight.__getitem__)
+    switchable = [v for v in graph.transport_ids if graph.classes[v] is not cheap]
+    assume(switchable)
+    switched = data.draw(st.sets(st.sampled_from(switchable), min_size=1))
+    classes = tuple(cheap if v in switched else cls for v, cls in enumerate(graph.classes))
+    lowered = [replace(g, classes=classes) for g in residuals]
+    destination = data.draw(st.sampled_from(graph.destination_ids))
+    queries = [(i, source) for i in range(len(residuals)) for source in graph.source_ids]
+    costs_move = weight[HQ] != weight[LQ]
+    routing._last = None
+    for phase, copies in enumerate((residuals, lowered, residuals)):
+        before = routing._last
+        held = [] if before is None else list(before.searches.values())
+        for i, source in data.draw(st.permutations(queries)):
+            g = copies[i]
+            [allocation], _ = allocate_batch(
+                g, [RoutingRequest(source, destination, 1)], mapping, 0.0, 0.975
+            )
+            want = brute_force_best(g, source, destination, mapping)
+            assert allocation.path == (None if want is None else want[1])
+        router = routing._last
+        if phase == 1:
+            # A class dropping out of the palette may rescale every cost.
+            assert switched <= set(router.lowered) if costs_move else not router.lowered
+        if phase:
+            taken = [any(search is h for h in held) for search in router.searches.values()]
+            assert all(taken) if phase == 1 or not costs_move else not any(taken)
 
 
 def test_routing_rejects_edges_outside_the_base_network():
