@@ -310,14 +310,13 @@ class FiveNumberSummary:
     @classmethod
     def from_counts(cls, counts: Mapping[float, int]) -> "FiveNumberSummary":
         """Summarise the sample in which each value occurs ``counts[value]`` times."""
+        if not counts or not all(map(isfinite, counts)):
+            raise ValueError("can only summarise a non-empty sample of finite values")
         values = sorted(counts)
-        if not values:
-            raise ValueError("cannot summarise an empty sample")
         cumulative = list(accumulate(map(counts.__getitem__, values)))
         q1, median, q3 = (_quantile(values, cumulative, q) for q in (0.25, 0.5, 0.75))
         iqr = q3 - q1
-        low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-        inside = [v for v in values if low <= v <= high]
+        inside = [v for v in values if q1 - 1.5 * iqr <= v <= q3 + 1.5 * iqr]
         return cls(
             minimum=values[0],
             q1=q1,
@@ -344,12 +343,8 @@ class SampleStats:
     def from_counts(cls, counts: Mapping[float, int]) -> "SampleStats":
         """Stats of the sample in which each value occurs ``counts[value]`` times.
 
-        The mean is the exact sum rounded once, so it does not depend on
-        the order in which samples were counted: every value is an exact
-        binary fraction, so scaled by the least common multiple of their
-        denominators the values sum as integers, and integer division
-        rounds once.
-        """
+        The mean is exact, rounded once: over the values' common binary
+        denominator they sum as integers, in any order of counting."""
         summary = FiveNumberSummary.from_counts(counts)
         count = sum(counts.values())
         ratios = [(value.as_integer_ratio(), k) for value, k in counts.items()]
@@ -386,17 +381,24 @@ class SweepSummary:
 
     @property
     def overall_mean_fidelity(self) -> float | None:
-        stats = [x.fidelity for x in self.per_xi if x.fidelity is not None]
-        total = sum(s.count for s in stats)
-        return sum(s.mean * s.count for s in stats) / total if total else None
+        total = 0
+        acc = 0.0
+        for x in self.per_xi:
+            if x.fidelity is not None:
+                acc += x.fidelity.mean * x.fidelity.count
+                total += x.fidelity.count
+        return acc / total if total else None
 
     @property
     def overall_mean_path_nodes(self) -> float | None:
-        allocated = [x.num_requests - x.num_blocked for x in self.per_xi]
-        total = sum(allocated)
-        return sum(
-            x.mean_path_nodes * k for x, k in zip(self.per_xi, allocated) if k
-        ) / total if total else None
+        total = 0
+        acc = 0.0
+        for x in self.per_xi:
+            allocated = x.num_requests - x.num_blocked
+            if x.mean_path_nodes is not None:
+                acc += x.mean_path_nodes * allocated
+                total += allocated
+        return acc / total if total else None
 
 
 def _xi_summary(
@@ -438,8 +440,7 @@ def sweep_xi(config: ExperimentConfig) -> SweepSummary:
     for i, _, _, _, allocations, _ in _sweep(config, xi_values, (config.f_bar,)):
         requests[i] += len(allocations)
         histograms[i].update((len(a.path), a.fidelity) for a in allocations if a.path)
-    per_xi = map(_xi_summary, xi_values, requests, histograms)
-    return SweepSummary(config=config, per_xi=tuple(per_xi))
+    return SweepSummary(config, tuple(map(_xi_summary, xi_values, requests, histograms)))
 
 
 def sweep_eta_l(
@@ -495,10 +496,9 @@ def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
             for _ in xi_values
         ]
         for i, _, p, _, allocations, _ in _sweep(cfg, xi_values, (cfg.f_bar,)):
-            by_theta = samples[i]
             for a in allocations:
                 if a.path is not None:
-                    by_theta[a.request.theta - 1][p].append(a.fidelity)
+                    samples[i][a.request.theta - 1][p].append(a.fidelity)
         profiles.extend(
             ThetaProfile(mapping, xi, theta, tuple(chain.from_iterable(by_pairing)))
             for xi, by_theta in zip(xi_values, samples)

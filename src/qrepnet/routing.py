@@ -21,11 +21,14 @@ classed graph served: its node costs, its routes on (source, destination,
 residual mask), the fidelity of each class sequence a route meets, one
 resumable reverse search per (destination, residual mask) and the (route,
 fidelity) served per (source, destination, residual mask).  A later graph
-inherits the routes only while the node costs are equal, so the routes of
-one cost vector at most are held at any time.  It inherits the searches
-while no node cost rises: a search is repaired on its first use on the new
-graph and then moves into the new graph's table, so the searches of two
-graphs at most are alive.  Served entries live and die with their graph.
+inherits the routes only while the node costs are equal.  Graphs whose
+transport nodes all cost the same share one more route table while the
+frame is the same, as uniform costs route by fewest hops at any scale; so
+the routes of two cost vectors, up to scale, at most are held at any
+time.  A later graph inherits the searches while no node cost rises: a
+search is repaired on its first use on the new graph and then moves into
+the new graph's table, so the searches of two graphs at most are alive.
+Served entries live and die with their graph.
 The module-level :data:`counters` count batches, requests and the work done
 on memo misses.
 """
@@ -260,24 +263,6 @@ def _search(frame: Frame, destination: int) -> Search:
     return Search(togo, [(0, destination)])
 
 
-def _repair(search: Search, lowered: Sequence[int]) -> Search:
-    """Carry a search over to costs that fell at the nodes ``lowered`` only.
-
-    Every label is the cost of a real path, which can only have got
-    cheaper, so it still bounds the cost to go from above.  Only a node
-    whose own cost fell can offer its neighbours a cheaper label, so each
-    such node with a finite label goes back on the heap at its label, and
-    resuming relaxes its neighbours at the new cost.  This is the
-    decrease-only case of dynamic shortest paths (Ramalingam & Reps,
-    J. Algorithms 21(2), 1996).
-    """
-    togo, heap = search
-    for u in lowered:
-        if togo[u] < inf:
-            heappush(heap, (togo[u], u))
-    return search
-
-
 def cheapest_route(
     frame: Frame,
     costs: Sequence[int],
@@ -300,12 +285,12 @@ def cheapest_route(
 
     ``search``, if given, is the state that earlier calls toward
     ``destination`` on the same ``used`` left behind, under ``costs`` or
-    under costs no lower at any node and then passed through
-    :func:`_repair`, and the search resumes where it stopped.  Every label
-    then bounds its node's cost to go from above, and every node that may
-    still lower a neighbour's label has an entry at its own label.  So a
-    label below every pending entry is final, and resuming only makes more
-    labels final: the route is the one a fresh search finds.
+    under costs no lower at any node and then repaired by
+    :func:`_take_search`, and the search resumes where it stopped.  Every
+    label then bounds its node's cost to go from above, and every node that
+    may still lower a neighbour's label has an entry at its own label.  So
+    a label below every pending entry is final, and resuming only makes
+    more labels final: the route is the one a fresh search finds.
     """
     neighbours = frame.neighbours
     togo, heap = _search(frame, destination) if search is None else search
@@ -373,7 +358,9 @@ class _Router(NamedTuple):
     :class:`Search`, and ``served`` maps (source, destination, residual
     mask) to the (route, fidelity) served on this graph.  ``carried`` is
     the previous graph's ``searches``, which this graph may take over after
-    pushing back the nodes ``lowered``, whose costs fell.
+    pushing back the nodes ``lowered``, whose costs fell.  ``hops`` is the
+    frame's route table for transport costs that are all equal, which is
+    ``routes`` on such a graph.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -389,6 +376,7 @@ class _Router(NamedTuple):
     served: dict
     carried: dict
     lowered: tuple[int, ...]
+    hops: dict
 
 
 @dataclass
@@ -428,13 +416,17 @@ def _router(
     batches of one class draw do.  A mapping is taken to be a pure function
     of the noise rate.  A new router takes over the last one's routes while
     the frame and the node costs are equal, and its fidelity scores while
-    the link fidelity is equal and the graph brings no class they lack.  It
-    may take over the last one's searches while the frame and the mapping
-    are the same and no node's cost rose, as when a sweep upgrades more
-    nodes of one class draw; a search is repaired on its first use (see
-    :func:`_take_search`).  Only the last graph's own searches are offered,
-    so the searches of two graphs at most are alive.  Served entries are
-    never taken over.
+    the link fidelity is equal and the graph brings no class they lack.
+    Every graph whose transport nodes all cost the same, as the unaware
+    mapping's and the all-LQ and all-HQ graphs of a sweep do, routes
+    through the frame's one ``hops`` table: scaling every cost by one
+    factor keeps the order of path costs, so such graphs share their
+    routes whatever the mapping.  A new router may take over the last
+    one's searches while the frame and the mapping are the same and no
+    node's cost rose, as when a sweep upgrades more nodes of one class
+    draw; a search is repaired on its first use (see :func:`_take_search`).
+    Only the last graph's own searches are offered, so the searches of two
+    graphs at most are alive.  Served entries are never taken over.
     """
     global _last
     last = _last
@@ -448,10 +440,12 @@ def _router(
         return last
     palette, codes = _palette(graph)
     costs = _node_costs(mapping, palette, codes)
-    routes = {}
+    routes, hops = {}, {}
     known, scores = palette, {}
     carried, lowered = {}, ()
     if last is not None:
+        if last.frame is frame:
+            hops = last.hops
         if last.frame is frame and last.costs == costs:
             routes = last.routes
         if last.frame is frame and last.mapping is mapping and all(map(le, costs, last.costs)):
@@ -461,9 +455,11 @@ def _router(
             known, scores = last.known, last.scores
             recode = (0, *(known.index(cls) + 1 for cls in palette))
             codes = tuple(map(recode.__getitem__, codes))
+    if len(set(costs) - {0}) == 1:
+        routes = hops
     _last = _Router(
         graph.classes, frame, mapping, link_fidelity, costs, routes, known, scores,
-        _fidelity_scorer(known, codes, link_fidelity, scores), {}, {}, carried, lowered,
+        _fidelity_scorer(known, codes, link_fidelity, scores), {}, {}, carried, lowered, hops,
     )
     return _last
 
@@ -479,8 +475,18 @@ def _take_search(router: _Router, destination: int, used: int) -> Search:
         counters.searches += 1
         search = _search(router.frame, destination)
     else:
+        # Every label is the cost of a real path, which can only have got
+        # cheaper, so it still bounds the cost to go from above.  Only a
+        # node whose own cost fell can offer its neighbours a cheaper
+        # label, so each such node with a finite label goes back on the
+        # heap at its label, and resuming relaxes its neighbours at the new
+        # cost: the decrease-only case of dynamic shortest paths
+        # (Ramalingam & Reps, J. Algorithms 21(2), 1996).
         counters.carried += 1
-        _repair(search, router.lowered)
+        togo, heap = search
+        for u in router.lowered:
+            if togo[u] < inf:
+                heappush(heap, (togo[u], u))
     router.searches[destination, used] = search
     return search
 

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo sweep drivers and their randomness contract."""
 
+import math
 import random
 import tracemalloc
 import warnings
@@ -356,10 +357,13 @@ def test_blocking_study_is_one_pass_per_mapping(monkeypatch):
 
 def test_routing_memo_holds_one_cost_vector(monkeypatch):
     """Every route table the memo builds during an aware sweep serves one
-    cost vector only, every search state is the graph's own or carried from
-    the immediately previous graph, whose costs were no lower anywhere,
-    every served entry belongs to one classed graph only, and the memo left
-    behind holds exactly the last graph's cheapest routes and scores."""
+    cost vector up to a positive factor, graphs whose transport nodes all
+    cost the same (here the all-LQ and all-HQ ones) route through the
+    frame's one uniform-cost table, every search state is the graph's own
+    or carried from the immediately previous graph, whose costs were no
+    lower anywhere, every served entry belongs to one classed graph only,
+    and the memo left behind holds exactly the last graph's cheapest routes
+    and scores."""
     routers = []  # kept alive so that table ids stay unique
     offered = []  # per router, the searches its table held when the next was built
     build = routing._router
@@ -374,11 +378,17 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch):
 
     monkeypatch.setattr(routing, "_router", recorded)
     cfg = replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4)
+    routing._last = None
     sweep_xi(cfg)
-    costs_of = {}
+    shape_of = {}
     for router in routers:
-        assert costs_of.setdefault(id(router.routes), router.costs) == router.costs
-    assert len(costs_of) > 1
+        scale = math.gcd(*router.costs)
+        shape = tuple(c // scale for c in router.costs)
+        assert shape_of.setdefault(id(router.routes), shape) == shape
+        assert (router.routes is router.hops) == (len(set(router.costs) - {0}) == 1)
+    assert len(shape_of) > 1
+    assert len({id(router.hops) for router in routers}) == 1
+    assert len({router.costs for router in routers if router.routes is router.hops}) == 2
     assert len({id(router.classes) for router in routers}) == len(routers)
     assert len({id(router.served) for router in routers}) == len(routers)
     earlier: set[int] = set()
@@ -431,6 +441,7 @@ def test_each_destination_and_residual_is_searched_once_per_graph(monkeypatch):
         return route(*args)
 
     monkeypatch.setattr(routing, "cheapest_route", counted)
+    routing._last = None
     sweep_xi(replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4))
     assert all(len(ids) == 1 for ids in states.values())
     assert len(states) < len(alive)
@@ -456,6 +467,11 @@ def test_stats_helpers():
     assert s.summary.num_outliers == 1
     with pytest.raises(ValueError):
         FiveNumberSummary.from_samples([])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SampleStats.from_samples([0.5, bad, 0.7])
+        with pytest.raises(ValueError, match="finite"):
+            FiveNumberSummary.from_counts({0.5: 2, bad: 1})
 
 
 def numpy_five_numbers(values):

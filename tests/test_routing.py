@@ -374,6 +374,32 @@ def test_shared_cache_follows_mapping_classes_and_link_fidelity():
         assert memoised == reference_batch(graph, reqs, mapping, 0.3, link_fidelity)
 
 
+
+def test_uniform_cost_graphs_share_one_route_table():
+    """Graphs whose transport nodes all cost the same share their routes
+    whatever the mapping and the cost scale, also across a graph with mixed
+    costs: once one of them has served the batch, the others walk no route,
+    and every call gives the results of memo-free routing."""
+    rng = np.random.default_rng(12)
+    lq = all_lq(CYLINDER, 4)
+    hq = lq.with_classes({v: HQ for v in lq.transport_ids})
+    mixed = assign_classes(lq, 0.5, HQ, LQ, rng)
+    pairs = [(lq.source_id(r), lq.destination_id(3 - r)) for r in range(4)]
+    reqs = shuffle_requests(pairs, np.random.default_rng(5))
+    aware = noise_aware_mapping(LQ.eta, 2.5)
+    routing._last = None
+    walked = []
+    for graph, mapping in [
+        (lq, UNIT), (lq, aware), (mixed, aware), (hq, aware),
+        (lq, noise_aware_mapping(LQ.eta, 0.1)), (hq, UNIT),
+    ]:
+        before = routing.counters.walks
+        memoised = allocate_batch(graph, reqs, mapping, 0.0, 0.975)
+        assert memoised == reference_batch(graph, reqs, mapping, 0.0, 0.975)
+        walked.append(routing.counters.walks - before)
+    assert walked[0] == len(reqs) and walked[2] > 0
+    assert walked[1] == walked[3] == walked[4] == walked[5] == 0
+
 WEIGHTS = (
     UNIT,
     noise_aware_mapping(LQ.eta),
