@@ -26,7 +26,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, experiment
 from .experiment import (
     AWARE,
     COARSE_XI_GRID,
@@ -57,7 +57,7 @@ DEFAULT_F_BAR_VALUES = (0.53, 0.7, 0.8)
 SENSITIVITY_PATH_NODE_COUNTS = (7, 11)
 
 # Keys a manifest contains beyond plain configuration; ignored on re-read.
-_MANIFEST_ONLY_KEYS = {"command", "version", "started", "finished", "output"}
+_MANIFEST_ONLY_KEYS = {"command", "version", "started", "finished", "workers", "output"}
 _LIST_KEYS = {"xi", "eta_l", "f_bar"}
 
 
@@ -211,19 +211,29 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     print(f"wrote {path}")
 
 
+def _start(res: _Resolver, out_dir: Path) -> str:
+    """Check the config keys and make the output directory; the start time."""
+    res.finish()
+    started = _now()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return started
+
+
 def _write_manifest(
-    path: Path,
+    out_dir: Path,
     command: str,
     items: Sequence[tuple[str, object]],
     outputs: Sequence[Path],
     started: str,
-    finished: str,
 ) -> None:
+    """Write ``<command>_manifest.txt``; ``workers`` served the study's class draws."""
+    path = out_dir / f"{command.replace('-', '_')}_manifest.txt"
     lines = [
         f"command={command}",
         f"version={__version__}",
         f"started={started}",
-        f"finished={finished}",
+        f"finished={_now()}",
+        f"workers={experiment._last_workers}",
     ]
     lines.extend(f"output={out.name}" for out in outputs)
     for key, value in items:
@@ -293,9 +303,7 @@ def cmd_topology_study(args: argparse.Namespace) -> int:
         f_bar=res.one("f_bar", float, 0.0),
         mapping=res.one("mapping", str, UNAWARE),
     )
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    started = _start(res, out_dir)
 
     fidelity_rows = []
     summary_rows = []
@@ -324,14 +332,8 @@ def cmd_topology_study(args: argparse.Namespace) -> int:
         ["topology", "mean_fidelity_overall", "mean_path_len", "blocking_prob"],
         summary_rows,
     )
-    _write_manifest(
-        out_dir / "topology_study_manifest.txt",
-        "topology-study",
-        [*_base_items(cfg, out_dir), ("mapping", cfg.mapping)],
-        [fid_path, sum_path],
-        started,
-        _now(),
-    )
+    items = [*_base_items(cfg, out_dir), ("mapping", cfg.mapping)]
+    _write_manifest(out_dir, "topology-study", items, [fid_path, sum_path], started)
     return 0
 
 
@@ -346,9 +348,7 @@ def cmd_lq_sensitivity(args: argparse.Namespace) -> int:
         f_bar=res.one("f_bar", float, 0.0),
         mapping=res.one("mapping", str, UNAWARE),
     )
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    started = _start(res, out_dir)
 
     rows = []
     for eta_l, summary in sweep_eta_l(cfg, eta_l_values):
@@ -367,14 +367,8 @@ def cmd_lq_sensitivity(args: argparse.Namespace) -> int:
     )
     items = _base_items(cfg, out_dir)
     items = [("eta_l", eta_l_values) if k == "eta_l" else (k, v) for k, v in items]
-    _write_manifest(
-        out_dir / "lq_sensitivity_manifest.txt",
-        "lq-sensitivity",
-        [*items, ("topology", cfg.topology), ("mapping", cfg.mapping)],
-        [out_path],
-        started,
-        _now(),
-    )
+    items += [("topology", cfg.topology), ("mapping", cfg.mapping)]
+    _write_manifest(out_dir, "lq-sensitivity", items, [out_path], started)
     return 0
 
 
@@ -392,9 +386,7 @@ def cmd_noise_awareness(args: argparse.Namespace) -> int:
         f_bar=0.0,
         default_xi=COARSE_XI_GRID,
     )
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    started = _start(res, out_dir)
 
     profiles = study_noise_awareness(cfg)
     point_rows = []
@@ -413,14 +405,8 @@ def cmd_noise_awareness(args: argparse.Namespace) -> int:
     _write_csv(
         means_path, ["mapping", "xi", "theta", "mean_fidelity", "n_samples"], mean_rows
     )
-    _write_manifest(
-        out_dir / "noise_awareness_manifest.txt",
-        "noise-awareness",
-        [*_base_items(cfg, out_dir), ("topology", cfg.topology)],
-        [points_path, means_path],
-        started,
-        _now(),
-    )
+    items = [*_base_items(cfg, out_dir), ("topology", cfg.topology)]
+    _write_manifest(out_dir, "noise-awareness", items, [points_path, means_path], started)
     return 0
 
 
@@ -435,9 +421,7 @@ def cmd_blocking(args: argparse.Namespace) -> int:
         eta_l=res.one("eta_l", float, 0.8),
         f_bar=0.0,
     )
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    started = _start(res, out_dir)
 
     points = study_blocking(cfg, f_bar_values)
     rows = [[p.mapping, p.f_bar, p.xi, p.blocking_probability] for p in points]
@@ -448,14 +432,7 @@ def cmd_blocking(args: argparse.Namespace) -> int:
         (k, f_bar_values) if k == "f_bar" else (k, v)
         for k, v in _base_items(cfg, out_dir)
     ]
-    _write_manifest(
-        out_dir / "blocking_manifest.txt",
-        "blocking",
-        [*items, ("topology", cfg.topology)],
-        [out_path],
-        started,
-        _now(),
-    )
+    _write_manifest(out_dir, "blocking", [*items, ("topology", cfg.topology)], [out_path], started)
     return 0
 
 

@@ -22,20 +22,28 @@ carry its searches over, and serves every batch with one
 the moment it is served into state that does not grow with the class draws
 (counts, histograms of the discrete fidelities); only the noise-awareness
 study keeps its samples, because its CSV lists every one.
+
+A study folds contiguous blocks of class draws in a fork pool, one block
+per CPU (:func:`_map_draws`), and merges the blocks exactly and in draw
+order, so its results are the same at any worker count.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from functools import partial, reduce
+from itertools import accumulate, chain, product
 from math import floor, isfinite, lcm
+from operator import add
 
 import numpy as np
 
+from . import routing
 from .fidelity import MIN_LINK_FIDELITY, MIN_NOISE_RATE, NoiseClass
 from .routing import (
     BlockReason,
@@ -214,7 +222,8 @@ def _sweep(
     draws its upgrade permutation and establishment orders, drops them once
     done and walks xi in ascending upgrade count, so each graph only lowers
     the node costs of the last and routing carries its searches over.  Each
-    graph serves all its batches back to back, threshold by threshold.
+    graph serves all its batches back to back, threshold by threshold.  A
+    block of ``class_draws`` serves the batches a whole run serves for them.
     """
     seed = config.seed
     base = base_network(config.topology, config.n)
@@ -248,6 +257,69 @@ def _sweep(
                         graph, order, mapping, f_bar, config.link_fidelity
                     )
                     yield i, j, p, graph, allocations, blocked
+
+
+# A study runs in process below this many requests: starting a fork pool
+# takes about as long as the engine needs for some thousand requests.
+_MIN_POOLED_REQUESTS = 20_000
+
+# Processes that served the class draws of the last study (1: this one).
+_last_workers = 1
+
+
+def _workers() -> int:
+    """The CPUs this process may run on, the most workers a study uses."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _pooled(fold: Callable[..., list], task: tuple) -> tuple[list, routing.Counters]:
+    """A fold run by a worker, and the routing counts it made."""
+    routing.counters = routing.Counters()
+    return fold(*task), routing.counters
+
+
+def _map_draws(
+    fold: Callable[..., list], configs: Sequence[ExperimentConfig],
+    xi_values: Sequence[float], f_bars: Sequence[float],
+) -> list[list]:
+    """Fold the class draws of each config, one pass of a study each.
+
+    ``fold(config, xi_values, f_bars, draws)`` folds the batches that
+    :func:`_sweep` serves for the class draws ``draws`` into a list whose
+    items merge exactly with ``+``.  Given more than one CPU and task, and
+    requests enough to pay for a fork pool, each pass splits its ``K``
+    draws into ``B = min(CPUs, K)`` blocks, block ``b`` covering ``[b K //
+    B, (b + 1) K // B)``, folded in the pool, and the parent adds up the
+    workers' :data:`routing.counters`; otherwise each pass is one block,
+    folded in process.  The blocks merge item by item in draw order.
+    """
+    global _last_workers
+    draws, pairings, n = configs[0].num_class_draws, configs[0].num_pair_draws, configs[0].n
+    requests = len(configs) * draws * len(xi_values) * len(f_bars) * pairings * n
+    workers = _workers() if requests >= _MIN_POOLED_REQUESTS and hasattr(os, "fork") else 1
+    blocks = min(workers, draws)
+    tasks = [
+        (config, xi_values, f_bars, range(b * draws // blocks, (b + 1) * draws // blocks))
+        for config in configs
+        for b in range(blocks)
+    ]
+    _last_workers = min(workers, len(tasks))
+    if _last_workers > 1:
+        # Imported here, as they would add some 20 ms to every import of qrepnet.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(_last_workers, mp_context=get_context("fork")) as pool:
+            results, counted = zip(*pool.map(partial(_pooled, fold), tasks))
+        counters = routing.counters  # looked up now, in case it was replaced
+        for name, value in vars(counters).items():
+            setattr(counters, name, value + sum(getattr(c, name) for c in counted))
+    else:
+        results = [fold(*task) for task in tasks]
+    return [
+        [reduce(add, items) for items in zip(*results[k : k + blocks])]
+        for k in range(0, len(results), blocks)
+    ]
 
 
 def run_trial(
@@ -431,16 +503,26 @@ def _warn_off_grid(xi_values: Sequence[float], n: int) -> None:
             )
 
 
+def _fold_histograms(
+    config: ExperimentConfig, xi_values: Sequence[float], f_bars: Sequence[float], draws: range
+) -> list:
+    """Per xi the requests served, then per xi the (path node count,
+    fidelity) -> count histogram of the allocated ones."""
+    requests = [0] * len(xi_values)
+    histograms: list[Counter[tuple[int, float]]] = [Counter() for _ in xi_values]
+    for i, _, _, _, allocations, _ in _sweep(config, xi_values, f_bars, None, draws):
+        requests[i] += len(allocations)
+        histograms[i].update((len(a.path), a.fidelity) for a in allocations if a.path)
+    return requests + histograms
+
+
 def sweep_xi(config: ExperimentConfig) -> SweepSummary:
     """Run the full trial grid of a config and aggregate per upgrade fraction."""
     xi_values = config.resolved_xi()
     _warn_off_grid(xi_values, config.n)
-    requests = [0] * len(xi_values)
-    histograms: list[Counter[tuple[int, float]]] = [Counter() for _ in xi_values]
-    for i, _, _, _, allocations, _ in _sweep(config, xi_values, (config.f_bar,)):
-        requests[i] += len(allocations)
-        histograms[i].update((len(a.path), a.fidelity) for a in allocations if a.path)
-    return SweepSummary(config, tuple(map(_xi_summary, xi_values, requests, histograms)))
+    [merged] = _map_draws(_fold_histograms, [config], xi_values, (config.f_bar,))
+    m = len(xi_values)
+    return SweepSummary(config, tuple(map(_xi_summary, xi_values, merged[:m], merged[m:])))
 
 
 def sweep_eta_l(
@@ -475,36 +557,42 @@ class ThetaProfile:
         return float(np.mean(self.fidelities))
 
 
+def _fold_samples(
+    config: ExperimentConfig, xi_values: Sequence[float], f_bars: Sequence[float], draws: range
+) -> list[list[float]]:
+    """The allocated fidelities per (xi, theta, pairing), that index running
+    fastest over pairings, each list in class-draw order."""
+    n, pairings = config.n, config.num_pair_draws
+    samples: list[list[float]] = [[] for _ in range(len(xi_values) * n * pairings)]
+    for i, _, p, _, allocations, _ in _sweep(config, xi_values, f_bars, None, draws):
+        for a in allocations:
+            if a.path is not None:
+                samples[(i * n + a.request.theta - 1) * pairings + p].append(a.fidelity)
+    return samples
+
+
 def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
     """Compare both weight mappings by establishment position.
 
     Runs the same trials under each mapping (identical pairings, class draws
     and orders) and collects every allocated request's fidelity keyed by
-    ``(mapping, xi, theta)``.  Requires a zero fidelity threshold so that the
+    ``(mapping, xi, theta)``, pairing by pairing and within a pairing in
+    class-draw order.  Requires a zero fidelity threshold so that the
     comparison isolates the routing weights.
     """
     if config.f_bar != 0.0:
         raise ValueError("the noise-awareness study requires f_bar = 0")
-    xi_values = config.xi_values if config.xi_values is not None else COARSE_XI_GRID
+    xi_values = tuple(config.xi_values if config.xi_values is not None else COARSE_XI_GRID)
     _warn_off_grid(xi_values, config.n)
-    profiles: list[ThetaProfile] = []
-    for mapping in MAPPINGS:
-        cfg = replace(config, mapping=mapping, xi_values=tuple(xi_values))
-        # samples[i][theta - 1][p], joined pairing by pairing: pairing-major order.
-        samples: list[list[list[list[float]]]] = [
-            [[[] for _ in range(config.num_pair_draws)] for _ in range(config.n)]
-            for _ in xi_values
-        ]
-        for i, _, p, _, allocations, _ in _sweep(cfg, xi_values, (cfg.f_bar,)):
-            for a in allocations:
-                if a.path is not None:
-                    samples[i][a.request.theta - 1][p].append(a.fidelity)
-        profiles.extend(
-            ThetaProfile(mapping, xi, theta, tuple(chain.from_iterable(by_pairing)))
-            for xi, by_theta in zip(xi_values, samples)
-            for theta, by_pairing in enumerate(by_theta, 1)
+    configs = [replace(config, mapping=m, xi_values=xi_values) for m in MAPPINGS]
+    k = config.num_pair_draws
+    return tuple(
+        ThetaProfile(mapping, xi, theta, tuple(chain.from_iterable(samples[i * k : i * k + k])))
+        for mapping, samples in zip(
+            MAPPINGS, _map_draws(_fold_samples, configs, xi_values, (0.0,))
         )
-    return tuple(profiles)
+        for i, (xi, theta) in enumerate(product(xi_values, range(1, config.n + 1)))
+    )
 
 
 @dataclass(frozen=True)
@@ -513,6 +601,18 @@ class BlockingPoint:
     f_bar: float
     xi: float
     blocking_probability: float
+
+
+def _count_blocks(
+    config: ExperimentConfig, xi_values: Sequence[float], f_bars: Sequence[float], draws: range
+) -> list[int]:
+    """Requests and blocks per (threshold, xi), xi running fastest."""
+    counts = [0] * (2 * len(f_bars) * len(xi_values))
+    for i, j, _, _, allocations, blocked in _sweep(config, xi_values, f_bars, None, draws):
+        k = 2 * (j * len(xi_values) + i)
+        counts[k] += len(allocations)
+        counts[k + 1] += blocked
+    return counts
 
 
 def study_blocking(
@@ -530,18 +630,13 @@ def study_blocking(
         replace(config, f_bar=f_bar)  # validates the threshold
     xi_values = config.resolved_xi()
     _warn_off_grid(xi_values, config.n)
-    points: list[BlockingPoint] = []
-    for mapping in MAPPINGS:
-        # counts[j][i]: requests and blocks at threshold j and upgrade fraction i.
-        counts = [[[0, 0] for _ in xi_values] for _ in f_bar_values]
-        cfg = replace(config, mapping=mapping)
-        for i, j, _, _, allocations, blocked in _sweep(cfg, xi_values, f_bar_values):
-            count = counts[j][i]
-            count[0] += len(allocations)
-            count[1] += blocked
-        points.extend(
-            BlockingPoint(mapping, f_bar, xi, blocked / requests)
-            for f_bar, by_xi in zip(f_bar_values, counts)
-            for xi, (requests, blocked) in zip(xi_values, by_xi)
+    configs = [replace(config, mapping=m) for m in MAPPINGS]
+    return tuple(
+        BlockingPoint(mapping, f_bar, xi, blocked / requests)
+        for mapping, counts in zip(
+            MAPPINGS, _map_draws(_count_blocks, configs, xi_values, f_bar_values)
         )
-    return tuple(points)
+        for (f_bar, xi), requests, blocked in zip(
+            product(f_bar_values, xi_values), counts[::2], counts[1::2]
+        )
+    )

@@ -23,9 +23,9 @@ resumable reverse search per (destination, residual mask) and the (route,
 fidelity) served per (source, destination, residual mask).  A later graph
 inherits the routes only while the node costs are equal.  Graphs whose
 transport nodes all cost the same share one more route table while the
-frame is the same, as uniform costs route by fewest hops at any scale; so
-the routes of two cost vectors, up to scale, at most are held at any
-time.  A later graph inherits the searches while no node cost rises: a
+frame and the mapping (or the node costs) are the same, as uniform costs
+route by fewest hops at any scale; so the routes of two cost vectors, up
+to scale, at most are held at any time.  A later graph inherits the searches while no node cost rises: a
 search is repaired on its first use on the new graph and then moves into
 the new graph's table, so the searches of two graphs at most are alive.
 Served entries live and die with their graph.
@@ -359,8 +359,8 @@ class _Router(NamedTuple):
     mask) to the (route, fidelity) served on this graph.  ``carried`` is
     the previous graph's ``searches``, which this graph may take over after
     pushing back the nodes ``lowered``, whose costs fell.  ``hops`` is the
-    frame's route table for transport costs that are all equal, which is
-    ``routes`` on such a graph.
+    route table for transport costs that are all equal, which is ``routes``
+    on such a graph.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -384,6 +384,7 @@ class Counters:
     """Work done by :func:`allocate_batch`.
 
     ``batches`` counts calls and ``requests`` the requests they served.
+    ``no_path`` and ``below_threshold`` count blocked requests by reason.
     The rest count memo misses: ``walks`` the routes computed, ``searches``
     the reverse searches started afresh and ``carried`` those taken over
     from the previous classed graph and repaired.  A served hit counts
@@ -392,6 +393,8 @@ class Counters:
 
     batches: int = 0
     requests: int = 0
+    no_path: int = 0
+    below_threshold: int = 0
     searches: int = 0
     carried: int = 0
     walks: int = 0
@@ -418,15 +421,16 @@ def _router(
     the frame and the node costs are equal, and its fidelity scores while
     the link fidelity is equal and the graph brings no class they lack.
     Every graph whose transport nodes all cost the same, as the unaware
-    mapping's and the all-LQ and all-HQ graphs of a sweep do, routes
-    through the frame's one ``hops`` table: scaling every cost by one
-    factor keeps the order of path costs, so such graphs share their
-    routes whatever the mapping.  A new router may take over the last
-    one's searches while the frame and the mapping are the same and no
-    node's cost rose, as when a sweep upgrades more nodes of one class
-    draw; a search is repaired on its first use (see :func:`_take_search`).
-    Only the last graph's own searches are offered, so the searches of two
-    graphs at most are alive.  Served entries are never taken over.
+    mapping's and the all-LQ and all-HQ graphs of a sweep do, routes through
+    one ``hops`` table while the frame and the mapping (or the node costs)
+    are the same: scaling every cost by one factor keeps the order of path
+    costs, so such graphs share their routes at any cost scale, and a new
+    mapping at new costs starts a new table.  A new router may take over the last one's searches while the
+    frame and the mapping are the same and no node's cost rose, as when a
+    sweep upgrades more nodes of one class draw; a search is repaired on its
+    first use (see :func:`_take_search`).  Only the last graph's own
+    searches are offered, so the searches of two graphs at most are alive.
+    Served entries are never taken over.
     """
     global _last
     last = _last
@@ -444,7 +448,7 @@ def _router(
     known, scores = palette, {}
     carried, lowered = {}, ()
     if last is not None:
-        if last.frame is frame:
+        if last.frame is frame and (last.mapping is mapping or last.costs == costs):
             hops = last.hops
         if last.frame is frame and last.costs == costs:
             routes = last.routes
@@ -548,7 +552,7 @@ def allocate_batch(
     counters.batches += 1
     counters.requests += len(ordered)
     allocations = []
-    blocked = 0
+    blocked = no_path = 0
     for request in ordered:
         source, destination = request.source, request.destination
         key = (source, destination, used)
@@ -567,6 +571,7 @@ def allocate_batch(
         route, f = hit
         if route is None:
             reason = BlockReason.NO_PATH
+            no_path += 1
         elif f >= fidelity_threshold:
             used |= route.edges
             allocations.append(PathAllocation(request, route.path, f, None))
@@ -575,4 +580,6 @@ def allocate_batch(
             reason = BlockReason.BELOW_THRESHOLD
         allocations.append(PathAllocation(request, None, None, reason))
         blocked += 1
+    counters.no_path += no_path
+    counters.below_threshold += blocked - no_path
     return allocations, blocked

@@ -85,11 +85,20 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_manifest_replays_byte_identically(tmp_path):
+    """A manifest replays to the same CSVs; the worker count it records is
+    ignored on replay."""
     a, b = tmp_path / "a", tmp_path / "b"
     run(["blocking", *FAST, "--f-bar", "0.6", "--seed", "7", "--out-dir", a])
-    assert run(["blocking", "--config", a / "blocking_manifest.txt", "--out-dir", b]) == 0
+    manifest = a / "blocking_manifest.txt"
+    text = manifest.read_text()
+    assert re.search(r"^workers=[1-9][0-9]*$", text, re.M)
+    manifest.write_text(re.sub(r"^workers=.*$", "workers=99", text, flags=re.M))
+    assert run(["blocking", "--config", manifest, "--out-dir", b]) == 0
     assert (a / "blocking_vs_xi.csv").read_bytes() == (b / "blocking_vs_xi.csv").read_bytes()
-    assert "seed=7" in (b / "blocking_manifest.txt").read_text()
+    replayed = (b / "blocking_manifest.txt").read_text()
+    assert "seed=7" in replayed
+    assert re.search(r"^workers=[1-9][0-9]*$", replayed, re.M)
+    assert "workers=99" not in replayed
 
 
 def test_flags_override_config(tmp_path):

@@ -46,6 +46,19 @@ SMALL = ExperimentConfig(
 )
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """Studies fold every class draw in this process, where a test can watch
+    the engine and the routing memo."""
+    monkeypatch.setattr(experiment, "_workers", lambda: 1)
+
+
+def use_workers(monkeypatch, count):
+    """Studies use ``count`` workers, in a pool whatever their size."""
+    monkeypatch.setattr(experiment, "_workers", lambda: count)
+    monkeypatch.setattr(experiment, "_MIN_POOLED_REQUESTS", 0)
+
+
 def test_default_xi_grid():
     grid = default_xi_grid(5)
     assert len(grid) == 26
@@ -301,7 +314,7 @@ def test_memoised_scorer_equals_scoring_the_composition():
     assert firsts == {hq, lq}
 
 
-def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch):
+def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch, in_process):
     """Sweeps serve each (xi, pairing, class draw) batch with one call of the
     public batch router, so tracing that function sees every batch."""
     calls = []
@@ -318,7 +331,23 @@ def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch):
     assert sum(x.num_requests for x in summary.per_xi) == cfg.n * batches
 
 
-def test_routing_memo_changes_no_sweep():
+def test_every_pooled_sweep_batch_is_counted(monkeypatch):
+    """A sweep whose class draws run in worker processes serves each batch
+    once there, and the parent's routing counters add up every one."""
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(routing, "counters", routing.Counters())
+    routing._last = None
+    cfg = replace(SMALL, mapping=AWARE, f_bar=0.3)
+    summary = sweep_xi(cfg)
+    # The parent routed nothing itself.
+    assert experiment._last_workers == 2 and routing._last is None
+    batches = len(SMALL.xi_values) * cfg.num_pair_draws * cfg.num_class_draws
+    counted = routing.counters
+    assert (counted.batches, counted.requests) == (batches, cfg.n * batches)
+    assert sum(x.num_requests for x in summary.per_xi) == cfg.n * batches
+
+
+def test_routing_memo_changes_no_sweep(in_process):
     """A sweep that starts on the memo left by a sweep at another threshold
     equals the same sweep started on an empty memo."""
     cfg = replace(SMALL, mapping=AWARE, num_class_draws=4)
@@ -330,7 +359,7 @@ def test_routing_memo_changes_no_sweep():
     assert routing._last.routes
 
 
-def test_blocking_study_is_one_pass_per_mapping(monkeypatch):
+def test_blocking_study_is_one_pass_per_mapping(monkeypatch, in_process):
     """Each mapping serves all thresholds in one engine pass, and its
     blocking probabilities equal those of one sweep per threshold."""
     passes = []
@@ -355,7 +384,7 @@ def test_blocking_study_is_one_pass_per_mapping(monkeypatch):
     assert 0.0 < sum(p.blocking_probability for p in points) < len(points)
 
 
-def test_routing_memo_holds_one_cost_vector(monkeypatch):
+def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
     """Every route table the memo builds during an aware sweep serves one
     cost vector up to a positive factor, graphs whose transport nodes all
     cost the same (here the all-LQ and all-HQ ones) route through the
@@ -424,7 +453,9 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch):
             ) == cheapest_route(last.frame, last.costs, source, destination, used)
 
 
-def test_each_destination_and_residual_is_searched_once_per_graph(monkeypatch):
+def test_each_destination_and_residual_is_searched_once_per_graph(
+    monkeypatch, in_process
+):
     """During an aware sweep, each (classed graph, destination, residual
     mask) starts one reverse search at most: every route toward that
     destination on that residual resumes the same search state."""
@@ -545,7 +576,7 @@ def test_routing_counters_see_carried_searches(monkeypatch):
     assert counted.walks >= counted.searches + counted.carried
 
 
-def test_sweep_memory_is_flat_in_class_draws():
+def test_sweep_memory_is_flat_in_class_draws(in_process):
     """Batches are folded as they are served, so the traced peak of a
     blocking study plus an xi sweep does not grow with the class draws.
 
@@ -576,3 +607,48 @@ def test_sweep_memory_is_flat_in_class_draws():
     peak(4)  # lazy imports and set-up
     small, large = peak(16), peak(256)
     assert abs(large - small) <= 0.1 * small
+
+
+def all_studies(monkeypatch, cfg):
+    """Every study on one config, and the routing counts they added."""
+    monkeypatch.setattr(routing, "counters", routing.Counters())
+    results = (
+        sweep_xi(cfg),
+        sweep_eta_l(cfg, (0.99, cfg.eta_l)),
+        study_noise_awareness(replace(cfg, f_bar=0.0)),
+        study_blocking(cfg, (0.0, 0.3, 0.5)),
+    )
+    counted = routing.counters
+    return results, (counted.batches, counted.requests, counted.no_path, counted.below_threshold)
+
+
+@pytest.mark.parametrize("draws", [1, 2, 3, 5])
+def test_studies_are_bit_identical_at_any_worker_count(monkeypatch, draws):
+    """Every study gives the same results and routing counts on 1, 2 or 3
+    workers, with fewer, as many or more class draws than workers: the
+    blocks of class draws merge exactly and in draw order."""
+    cfg = replace(SMALL, topology=GRID, mapping=AWARE, f_bar=0.3, num_class_draws=draws)
+    use_workers(monkeypatch, 1)
+    serial, counts = all_studies(monkeypatch, cfg)
+    batches = len(cfg.xi_values) * cfg.num_pair_draws * draws * (1 + 2 + 2 + 2 * 3)
+    assert counts[:2] == (batches, cfg.n * batches)
+    assert counts[2] > 0 and counts[3] > 0
+    for workers in (2, 3):
+        use_workers(monkeypatch, workers)
+        assert all_studies(monkeypatch, cfg) == (serial, counts)
+        # The blocking study ran last, on two passes of up to ``workers`` blocks.
+        assert experiment._last_workers == min(workers, 2 * min(workers, draws))
+
+
+def test_run_trial_starts_no_pool(monkeypatch):
+    """A single trial never starts a process pool, even where a study would."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    use_workers(monkeypatch, 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    with pytest.raises(AssertionError, match="pool was started"):
+        sweep_xi(SMALL)
+    assert len(run_trial(SMALL, 0.4, 1, 2).outcomes) == SMALL.n
