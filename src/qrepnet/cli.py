@@ -31,6 +31,7 @@ from .experiment import (
     AWARE,
     COARSE_XI_GRID,
     DEFAULT_SEED,
+    MAPPINGS,
     UNAWARE,
     ExperimentConfig,
     SampleStats,
@@ -211,29 +212,21 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     print(f"wrote {path}")
 
 
-def _start(res: _Resolver, out_dir: Path) -> str:
-    """Check the config keys and make the output directory; the start time."""
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return started
-
-
 def _write_manifest(
-    out_dir: Path,
+    path: Path,
     command: str,
     items: Sequence[tuple[str, object]],
     outputs: Sequence[Path],
     started: str,
+    finished: str,
+    workers: int,
 ) -> None:
-    """Write ``<command>_manifest.txt``; ``workers`` served the study's class draws."""
-    path = out_dir / f"{command.replace('-', '_')}_manifest.txt"
     lines = [
         f"command={command}",
         f"version={__version__}",
         f"started={started}",
-        f"finished={_now()}",
-        f"workers={experiment._last_workers}",
+        f"finished={finished}",
+        f"workers={workers}",
     ]
     lines.extend(f"output={out.name}" for out in outputs)
     for key, value in items:
@@ -303,7 +296,9 @@ def cmd_topology_study(args: argparse.Namespace) -> int:
         f_bar=res.one("f_bar", float, 0.0),
         mapping=res.one("mapping", str, UNAWARE),
     )
-    started = _start(res, out_dir)
+    res.finish()
+    started = _now()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     fidelity_rows = []
     summary_rows = []
@@ -332,8 +327,15 @@ def cmd_topology_study(args: argparse.Namespace) -> int:
         ["topology", "mean_fidelity_overall", "mean_path_len", "blocking_prob"],
         summary_rows,
     )
-    items = [*_base_items(cfg, out_dir), ("mapping", cfg.mapping)]
-    _write_manifest(out_dir, "topology-study", items, [fid_path, sum_path], started)
+    _write_manifest(
+        out_dir / "topology_study_manifest.txt",
+        "topology-study",
+        [*_base_items(cfg, out_dir), ("mapping", cfg.mapping)],
+        [fid_path, sum_path],
+        started,
+        _now(),
+        experiment._pool_workers(1, cfg, len(cfg.resolved_xi())),
+    )
     return 0
 
 
@@ -348,7 +350,9 @@ def cmd_lq_sensitivity(args: argparse.Namespace) -> int:
         f_bar=res.one("f_bar", float, 0.0),
         mapping=res.one("mapping", str, UNAWARE),
     )
-    started = _start(res, out_dir)
+    res.finish()
+    started = _now()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for eta_l, summary in sweep_eta_l(cfg, eta_l_values):
@@ -367,8 +371,15 @@ def cmd_lq_sensitivity(args: argparse.Namespace) -> int:
     )
     items = _base_items(cfg, out_dir)
     items = [("eta_l", eta_l_values) if k == "eta_l" else (k, v) for k, v in items]
-    items += [("topology", cfg.topology), ("mapping", cfg.mapping)]
-    _write_manifest(out_dir, "lq-sensitivity", items, [out_path], started)
+    _write_manifest(
+        out_dir / "lq_sensitivity_manifest.txt",
+        "lq-sensitivity",
+        [*items, ("topology", cfg.topology), ("mapping", cfg.mapping)],
+        [out_path],
+        started,
+        _now(),
+        experiment._pool_workers(1, cfg, len(cfg.resolved_xi())),
+    )
     return 0
 
 
@@ -386,7 +397,9 @@ def cmd_noise_awareness(args: argparse.Namespace) -> int:
         f_bar=0.0,
         default_xi=COARSE_XI_GRID,
     )
-    started = _start(res, out_dir)
+    res.finish()
+    started = _now()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     profiles = study_noise_awareness(cfg)
     point_rows = []
@@ -405,8 +418,15 @@ def cmd_noise_awareness(args: argparse.Namespace) -> int:
     _write_csv(
         means_path, ["mapping", "xi", "theta", "mean_fidelity", "n_samples"], mean_rows
     )
-    items = [*_base_items(cfg, out_dir), ("topology", cfg.topology)]
-    _write_manifest(out_dir, "noise-awareness", items, [points_path, means_path], started)
+    _write_manifest(
+        out_dir / "noise_awareness_manifest.txt",
+        "noise-awareness",
+        [*_base_items(cfg, out_dir), ("topology", cfg.topology)],
+        [points_path, means_path],
+        started,
+        _now(),
+        experiment._pool_workers(len(MAPPINGS), cfg, len(cfg.resolved_xi())),
+    )
     return 0
 
 
@@ -421,7 +441,9 @@ def cmd_blocking(args: argparse.Namespace) -> int:
         eta_l=res.one("eta_l", float, 0.8),
         f_bar=0.0,
     )
-    started = _start(res, out_dir)
+    res.finish()
+    started = _now()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     points = study_blocking(cfg, f_bar_values)
     rows = [[p.mapping, p.f_bar, p.xi, p.blocking_probability] for p in points]
@@ -432,7 +454,15 @@ def cmd_blocking(args: argparse.Namespace) -> int:
         (k, f_bar_values) if k == "f_bar" else (k, v)
         for k, v in _base_items(cfg, out_dir)
     ]
-    _write_manifest(out_dir, "blocking", [*items, ("topology", cfg.topology)], [out_path], started)
+    _write_manifest(
+        out_dir / "blocking_manifest.txt",
+        "blocking",
+        [*items, ("topology", cfg.topology)],
+        [out_path],
+        started,
+        _now(),
+        experiment._pool_workers(len(MAPPINGS), cfg, len(cfg.resolved_xi())),
+    )
     return 0
 
 

@@ -23,14 +23,16 @@ the moment it is served into state that does not grow with the class draws
 (counts, histograms of the discrete fidelities); only the noise-awareness
 study keeps its samples, because its CSV lists every one.
 
-A study folds contiguous blocks of class draws in a fork pool, one block
-per CPU (:func:`_map_draws`), and merges the blocks exactly and in draw
-order, so its results are the same at any worker count.
+A large enough study folds contiguous blocks of class draws in a fork pool,
+one block per CPU (:func:`_map_draws`), and merges the blocks exactly and
+in draw order, so its results are the same at any worker count.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+import threading
 import warnings
 from bisect import bisect_right
 from collections import Counter
@@ -259,17 +261,33 @@ def _sweep(
                     yield i, j, p, graph, allocations, blocked
 
 
-# A study runs in process below this many requests: starting a fork pool
-# takes about as long as the engine needs for some thousand requests.
-_MIN_POOLED_REQUESTS = 20_000
-
-# Processes that served the class draws of the last study (1: this one).
-_last_workers = 1
+# Below this many requests at one threshold a fork pool costs a study more
+# than its workers save: the crossover measured on 2 CPUs in BENCH_7.json.
+_MIN_POOLED_REQUESTS = 8_000
+_ENGINE_CODE = allocate_batch.__code__
 
 
 def _workers() -> int:
     """The CPUs this process may run on, the most workers a study uses."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:
+    """The processes that fold a study of ``passes`` passes over ``num_xi``
+    upgrade fractions; 1 folds it in process.
+
+    Later thresholds serve a graph's batches from the routing memo, so the
+    requests of one threshold measure the work.  Workers are forked: only on
+    Linux, only while no other thread runs (a child may inherit a lock it
+    holds) and only while ``allocate_batch`` is unwrapped, as a wrapper (a
+    tracer, a profiler) sees only the calls made in its own process.
+    """
+    requests = passes * config.num_class_draws * num_xi * config.num_pair_draws * config.n
+    wrapped = getattr(allocate_batch, "__code__", None) is not _ENGINE_CODE
+    if requests < _MIN_POOLED_REQUESTS or sys.platform != "linux" or wrapped:
+        return 1
+    cpus = _workers() if threading.active_count() == 1 else 1
+    return min(cpus, passes * min(cpus, config.num_class_draws))
 
 
 def _pooled(fold: Callable[..., list], task: tuple) -> tuple[list, routing.Counters]:
@@ -286,30 +304,23 @@ def _map_draws(
 
     ``fold(config, xi_values, f_bars, draws)`` folds the batches that
     :func:`_sweep` serves for the class draws ``draws`` into a list whose
-    items merge exactly with ``+``.  Given more than one CPU and task, and
-    requests enough to pay for a fork pool, each pass splits its ``K``
-    draws into ``B = min(CPUs, K)`` blocks, block ``b`` covering ``[b K //
-    B, (b + 1) K // B)``, folded in the pool, and the parent adds up the
-    workers' :data:`routing.counters`; otherwise each pass is one block,
-    folded in process.  The blocks merge item by item in draw order.
+    items merge exactly with ``+``.  With ``W`` workers (see
+    :func:`_pool_workers`) each pass splits its ``K`` draws into ``B =
+    min(W, K)`` blocks, block ``b`` covering ``[b K // B, (b + 1) K // B)``,
+    and the parent adds up the workers' :data:`routing.counters`.  The
+    blocks merge item by item in draw order.
     """
-    global _last_workers
-    draws, pairings, n = configs[0].num_class_draws, configs[0].num_pair_draws, configs[0].n
-    requests = len(configs) * draws * len(xi_values) * len(f_bars) * pairings * n
-    workers = _workers() if requests >= _MIN_POOLED_REQUESTS and hasattr(os, "fork") else 1
+    draws = configs[0].num_class_draws
+    workers = _pool_workers(len(configs), configs[0], len(xi_values))
     blocks = min(workers, draws)
-    tasks = [
-        (config, xi_values, f_bars, range(b * draws // blocks, (b + 1) * draws // blocks))
-        for config in configs
-        for b in range(blocks)
-    ]
-    _last_workers = min(workers, len(tasks))
-    if _last_workers > 1:
+    spans = [range(b * draws // blocks, (b + 1) * draws // blocks) for b in range(blocks)]
+    tasks = [(config, xi_values, f_bars, span) for config in configs for span in spans]
+    if workers > 1:
         # Imported here, as they would add some 20 ms to every import of qrepnet.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        with ProcessPoolExecutor(_last_workers, mp_context=get_context("fork")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
             results, counted = zip(*pool.map(partial(_pooled, fold), tasks))
         counters = routing.counters  # looked up now, in case it was replaced
         for name, value in vars(counters).items():
@@ -517,7 +528,11 @@ def _fold_histograms(
 
 
 def sweep_xi(config: ExperimentConfig) -> SweepSummary:
-    """Run the full trial grid of a config and aggregate per upgrade fraction."""
+    """Run the full trial grid of a config and aggregate per upgrade fraction.
+
+    Like every study, it may fork workers to fold its class draws (Linux
+    only, with more CPUs than one and no other thread running).
+    """
     xi_values = config.resolved_xi()
     _warn_off_grid(xi_values, config.n)
     [merged] = _map_draws(_fold_histograms, [config], xi_values, (config.f_bar,))

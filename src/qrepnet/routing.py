@@ -23,9 +23,9 @@ resumable reverse search per (destination, residual mask) and the (route,
 fidelity) served per (source, destination, residual mask).  A later graph
 inherits the routes only while the node costs are equal.  Graphs whose
 transport nodes all cost the same share one more route table while the
-frame and the mapping (or the node costs) are the same, as uniform costs
-route by fewest hops at any scale; so the routes of two cost vectors, up
-to scale, at most are held at any time.  A later graph inherits the searches while no node cost rises: a
+frame is the same, as uniform costs route by fewest hops at any scale; so
+the routes of two cost vectors, up to scale, at most are held at any
+time.  A later graph inherits the searches while no node cost rises: a
 search is repaired on its first use on the new graph and then moves into
 the new graph's table, so the searches of two graphs at most are alive.
 Served entries live and die with their graph.
@@ -359,8 +359,8 @@ class _Router(NamedTuple):
     mask) to the (route, fidelity) served on this graph.  ``carried`` is
     the previous graph's ``searches``, which this graph may take over after
     pushing back the nodes ``lowered``, whose costs fell.  ``hops`` is the
-    route table for transport costs that are all equal, which is ``routes``
-    on such a graph.
+    frame's route table for transport costs that are all equal, which is
+    ``routes`` on such a graph.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -421,16 +421,15 @@ def _router(
     the frame and the node costs are equal, and its fidelity scores while
     the link fidelity is equal and the graph brings no class they lack.
     Every graph whose transport nodes all cost the same, as the unaware
-    mapping's and the all-LQ and all-HQ graphs of a sweep do, routes through
-    one ``hops`` table while the frame and the mapping (or the node costs)
-    are the same: scaling every cost by one factor keeps the order of path
-    costs, so such graphs share their routes at any cost scale, and a new
-    mapping at new costs starts a new table.  A new router may take over the last one's searches while the
-    frame and the mapping are the same and no node's cost rose, as when a
-    sweep upgrades more nodes of one class draw; a search is repaired on its
-    first use (see :func:`_take_search`).  Only the last graph's own
-    searches are offered, so the searches of two graphs at most are alive.
-    Served entries are never taken over.
+    mapping's and the all-LQ and all-HQ graphs of a sweep do, routes
+    through the frame's one ``hops`` table: scaling every cost by one
+    factor keeps the order of path costs, so such graphs share their
+    routes whatever the mapping.  A new router may take over the last
+    one's searches while the frame and the mapping are the same and no
+    node's cost rose, as when a sweep upgrades more nodes of one class
+    draw; a search is repaired on its first use (see :func:`_take_search`).
+    Only the last graph's own searches are offered, so the searches of two
+    graphs at most are alive.  Served entries are never taken over.
     """
     global _last
     last = _last
@@ -448,7 +447,7 @@ def _router(
     known, scores = palette, {}
     carried, lowered = {}, ()
     if last is not None:
-        if last.frame is frame and (last.mapping is mapping or last.costs == costs):
+        if last.frame is frame:
             hops = last.hops
         if last.frame is frame and last.costs == costs:
             routes = last.routes

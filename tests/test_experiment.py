@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo sweep drivers and their randomness contract."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -338,9 +339,10 @@ def test_every_pooled_sweep_batch_is_counted(monkeypatch):
     monkeypatch.setattr(routing, "counters", routing.Counters())
     routing._last = None
     cfg = replace(SMALL, mapping=AWARE, f_bar=0.3)
+    assert experiment._pool_workers(1, cfg, len(SMALL.xi_values)) == 2
     summary = sweep_xi(cfg)
     # The parent routed nothing itself.
-    assert experiment._last_workers == 2 and routing._last is None
+    assert routing._last is None
     batches = len(SMALL.xi_values) * cfg.num_pair_draws * cfg.num_class_draws
     counted = routing.counters
     assert (counted.batches, counted.requests) == (batches, cfg.n * batches)
@@ -635,20 +637,69 @@ def test_studies_are_bit_identical_at_any_worker_count(monkeypatch, draws):
     assert counts[2] > 0 and counts[3] > 0
     for workers in (2, 3):
         use_workers(monkeypatch, workers)
+        # The blocking study runs two passes of up to ``workers`` blocks.
+        pooled = experiment._pool_workers(2, cfg, len(cfg.xi_values))
+        assert pooled == min(workers, 2 * min(workers, draws))
         assert all_studies(monkeypatch, cfg) == (serial, counts)
-        # The blocking study ran last, on two passes of up to ``workers`` blocks.
-        assert experiment._last_workers == min(workers, 2 * min(workers, draws))
 
 
-def test_run_trial_starts_no_pool(monkeypatch):
-    """A single trial never starts a process pool, even where a study would."""
+def refuse_pool(monkeypatch):
+    """Make starting a process pool fail."""
     import concurrent.futures
 
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    use_workers(monkeypatch, 3)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def test_run_trial_starts_no_pool(monkeypatch):
+    """A single trial never starts a process pool, even where a study would."""
+    use_workers(monkeypatch, 3)
+    refuse_pool(monkeypatch)
     with pytest.raises(AssertionError, match="pool was started"):
         sweep_xi(SMALL)
     assert len(run_trial(SMALL, 0.4, 1, 2).outcomes) == SMALL.n
+
+
+def test_studies_fold_in_process_while_another_thread_runs(monkeypatch):
+    """A study forks no worker while this process runs a second thread,
+    and gives the same results as in a pool."""
+    import threading
+
+    use_workers(monkeypatch, 2)
+    cfg = replace(SMALL, f_bar=0.3)
+    pooled = sweep_xi(cfg)
+    refuse_pool(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert experiment._pool_workers(1, cfg, len(cfg.xi_values)) == 1
+        assert sweep_xi(cfg) == pooled
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_a_wrapped_engine_sees_every_batch_at_any_worker_count(monkeypatch):
+    """A wrapper put around ``allocate_batch``, as a tracer or profiler
+    does, keeps studies in process, so it sees every batch they serve."""
+    calls = []
+
+    @functools.wraps(allocate_batch)
+    def traced(graph, requests, *args):
+        calls.append(len(requests))
+        return allocate_batch(graph, requests, *args)
+
+    use_workers(monkeypatch, 2)
+    refuse_pool(monkeypatch)
+    monkeypatch.setattr(experiment, "allocate_batch", traced)
+    cfg = replace(SMALL, f_bar=0.3)
+    points = study_blocking(cfg, (0.3,))
+    batches = 2 * len(SMALL.xi_values) * cfg.num_pair_draws * cfg.num_class_draws
+    assert calls == [cfg.n] * batches
+    monkeypatch.undo()
+    use_workers(monkeypatch, 2)
+    assert study_blocking(cfg, (0.3,)) == points
