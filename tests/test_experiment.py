@@ -669,6 +669,7 @@ def test_studies_fold_in_process_while_another_thread_runs(monkeypatch):
 
     use_workers(monkeypatch, 2)
     cfg = replace(SMALL, f_bar=0.3)
+    assert experiment._pool_workers(1, cfg, len(cfg.xi_values)) == 2
     pooled = sweep_xi(cfg)
     refuse_pool(monkeypatch)
     stop = threading.Event()
