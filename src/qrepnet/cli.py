@@ -13,6 +13,9 @@ itself a valid config file, which makes any run replayable:
 
 The root seed falls back to the ``QREPNET_SEED`` environment variable when
 neither flag nor config file provides one.
+
+Each subcommand is one entry of ``_STUDIES``, which declares what sets the
+study apart; one runner resolves, checks, runs and records every study.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import argparse
 import csv
 import os
 import sys
-from collections.abc import Iterable, Sequence
-from dataclasses import replace
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,12 +33,12 @@ from . import __version__, experiment
 from .experiment import (
     AWARE,
     COARSE_XI_GRID,
-    DEFAULT_SEED,
+    DEFAULT_ETA_L_VALUES,
+    DEFAULT_F_BAR_VALUES,
     MAPPINGS,
     UNAWARE,
     ExperimentConfig,
     SampleStats,
-    default_xi_grid,
     study_blocking,
     study_noise_awareness,
     sweep_eta_l,
@@ -43,23 +46,31 @@ from .experiment import (
 )
 from .topology import CYLINDER, GRID, TOPOLOGIES
 
-__all__ = [
-    "cmd_blocking",
-    "cmd_lq_sensitivity",
-    "cmd_noise_awareness",
-    "cmd_topology_study",
-    "main",
-]
+__all__ = ["main"]
 
 ENV_SEED = "QREPNET_SEED"
 DEFAULT_OUT_DIR = "results"
-DEFAULT_ETA_L_VALUES = (0.99, 0.8)
-DEFAULT_F_BAR_VALUES = (0.53, 0.7, 0.8)
 SENSITIVITY_PATH_NODE_COUNTS = (7, 11)
 
 # Keys a manifest contains beyond plain configuration; ignored on re-read.
 _MANIFEST_ONLY_KEYS = {"command", "version", "started", "finished", "workers", "output"}
-_LIST_KEYS = {"xi", "eta_l", "f_bar"}
+# Every configuration key in manifest order, with the ExperimentConfig field
+# it sets and its type.  ``xi``, ``seed`` and ``out_dir`` resolve on their own.
+_KEYS = {
+    "n": ("n", int),
+    "xi": ("xi_values", float),
+    "eta_h": ("eta_h", float),
+    "eta_l": ("eta_l", float),
+    "f": ("link_fidelity", float),
+    "f_bar": ("f_bar", float),
+    "aware_weight": ("aware_weight", float),
+    "pair_draws": ("num_pair_draws", int),
+    "class_draws": ("num_class_draws", int),
+    "seed": ("seed", int),
+    "out_dir": (None, str),
+    "topology": ("topology", str),
+    "mapping": ("mapping", str),
+}
 
 
 class UsageError(Exception):
@@ -101,10 +112,8 @@ class _Resolver:
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.config = read_config(args.config) if args.config else {}
-        self.known: set[str] = set(_MANIFEST_ONLY_KEYS)
 
     def _raw(self, key: str) -> list[str] | None:
-        self.known.add(key)
         flag = getattr(self.args, key, None)
         if flag is not None:
             return flag if isinstance(flag, list) else [str(flag)]
@@ -133,29 +142,27 @@ class _Resolver:
             raise UsageError(f"invalid value for {key}: {raw}") from exc
 
     def reject(self, key: str, why: str) -> None:
-        self.known.add(key)
         if getattr(self.args, key, None) is not None or key in self.config:
             raise UsageError(f"{key} is not accepted here: {why}")
 
-    def seed(self) -> int:
+    def seed(self) -> int | None:
+        """The given seed, else ``QREPNET_SEED``, else None (the config default)."""
         value = self.one("seed", int, None)
-        if value is not None:
-            return value
         env = os.environ.get(ENV_SEED)
-        if env is not None:
+        if value is None and env is not None:
             try:
                 return int(env)
             except ValueError as exc:
                 raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-        return DEFAULT_SEED
+        return value
 
     def finish(self) -> None:
-        unknown = set(self.config) - self.known
+        unknown = set(self.config) - set(_KEYS) - {"xi_step"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
 
 
-def _resolve_xi(res: _Resolver, default: tuple[float, ...]) -> tuple[float, ...]:
+def _resolve_xi(res: _Resolver, default: tuple[float, ...] | None) -> tuple[float, ...] | None:
     xi = res.many("xi", float, None)
     step = res.one("xi_step", float, None)
     if xi is not None and step is not None:
@@ -212,23 +219,9 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     print(f"wrote {path}")
 
 
-def _write_manifest(
-    path: Path,
-    command: str,
-    items: Sequence[tuple[str, object]],
-    outputs: Sequence[Path],
-    started: str,
-    finished: str,
-    workers: int,
-) -> None:
-    lines = [
-        f"command={command}",
-        f"version={__version__}",
-        f"started={started}",
-        f"finished={finished}",
-        f"workers={workers}",
-    ]
-    lines.extend(f"output={out.name}" for out in outputs)
+def _write_manifest(path: Path, items: Sequence[tuple[str, object]]) -> None:
+    """Write one ``key=value`` line per item, floats at full precision."""
+    lines = []
     for key, value in items:
         if isinstance(value, (tuple, list)):
             rendered = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
@@ -245,61 +238,21 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+_FIDELITY_COLUMNS = ["xi", "path_node_count", "mean_fidelity",
+                     "min", "q1", "median", "q3", "max", "n_samples"]
+
+
 def _stat_row(stats: SampleStats) -> list:
     s = stats.summary
     return [stats.mean, s.minimum, s.q1, s.median, s.q3, s.maximum, stats.count]
 
 
-def _base_items(cfg: ExperimentConfig, out_dir: Path) -> list[tuple[str, object]]:
-    return [
-        ("n", cfg.n),
-        ("xi", cfg.resolved_xi()),
-        ("eta_h", cfg.eta_h),
-        ("eta_l", cfg.eta_l),
-        ("f", cfg.link_fidelity),
-        ("f_bar", cfg.f_bar),
-        ("aware_weight", cfg.aware_weight),
-        ("pair_draws", cfg.num_pair_draws),
-        ("class_draws", cfg.num_class_draws),
-        ("seed", cfg.seed),
-        ("out_dir", out_dir),
-    ]
+# A CSV a study writes: file name, header and rows.
+_Table = tuple[str, Sequence[str], list]
 
 
-def _build_config(res: _Resolver, **overrides) -> tuple[ExperimentConfig, Path]:
-    n = res.one("n", int, 5)
-    kwargs = dict(
-        n=n,
-        xi_values=_resolve_xi(res, overrides.pop("default_xi", default_xi_grid(n))),
-        eta_h=res.one("eta_h", float, 0.999),
-        link_fidelity=res.one("f", float, 0.975),
-        aware_weight=res.one("aware_weight", float, 100.0),
-        num_pair_draws=res.one("pair_draws", int, 5),
-        num_class_draws=res.one("class_draws", int, 100),
-        seed=res.seed(),
-    )
-    kwargs.update(overrides)
-    out_dir = Path(res.one("out_dir", str, DEFAULT_OUT_DIR))
-    try:
-        return ExperimentConfig(**kwargs), out_dir
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def cmd_topology_study(args: argparse.Namespace) -> int:
+def _topology_tables(cfg: ExperimentConfig, _values: tuple[float, ...]) -> list[_Table]:
     """Fidelity and blocking versus xi, for both the grid and the cylinder."""
-    res = _Resolver(args)
-    res.reject("topology", "this study always runs both topologies")
-    cfg, out_dir = _build_config(
-        res,
-        eta_l=res.one("eta_l", float, 0.8),
-        f_bar=res.one("f_bar", float, 0.0),
-        mapping=res.one("mapping", str, UNAWARE),
-    )
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     fidelity_rows = []
     summary_rows = []
     for topology in (GRID, CYLINDER):
@@ -313,47 +266,16 @@ def cmd_topology_study(args: argparse.Namespace) -> int:
             summary.overall_mean_path_nodes,
             summary.overall_blocking_probability,
         ])
-
-    fid_path = out_dir / "fidelity_vs_xi.csv"
-    sum_path = out_dir / "summary.csv"
-    _write_csv(
-        fid_path,
-        ["topology", "xi", "path_node_count", "mean_fidelity",
-         "min", "q1", "median", "q3", "max", "n_samples"],
-        fidelity_rows,
-    )
-    _write_csv(
-        sum_path,
-        ["topology", "mean_fidelity_overall", "mean_path_len", "blocking_prob"],
-        summary_rows,
-    )
-    _write_manifest(
-        out_dir / "topology_study_manifest.txt",
-        "topology-study",
-        [*_base_items(cfg, out_dir), ("mapping", cfg.mapping)],
-        [fid_path, sum_path],
-        started,
-        _now(),
-        experiment._pool_workers(1, cfg, len(cfg.resolved_xi())),
-    )
-    return 0
+    return [
+        ("fidelity_vs_xi.csv", ["topology", *_FIDELITY_COLUMNS], fidelity_rows),
+        ("summary.csv",
+         ["topology", "mean_fidelity_overall", "mean_path_len", "blocking_prob"],
+         summary_rows),
+    ]
 
 
-def cmd_lq_sensitivity(args: argparse.Namespace) -> int:
+def _lq_sensitivity_tables(cfg: ExperimentConfig, eta_l_values: tuple[float, ...]) -> list[_Table]:
     """Fidelity versus xi for several low-quality noise rates, short and long paths."""
-    res = _Resolver(args)
-    eta_l_values = res.many("eta_l", float, DEFAULT_ETA_L_VALUES)
-    cfg, out_dir = _build_config(
-        res,
-        topology=res.one("topology", str, CYLINDER),
-        eta_l=eta_l_values[0],
-        f_bar=res.one("f_bar", float, 0.0),
-        mapping=res.one("mapping", str, UNAWARE),
-    )
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rows = []
     for eta_l, summary in sweep_eta_l(cfg, eta_l_values):
         for x in summary.per_xi:
@@ -361,108 +283,117 @@ def cmd_lq_sensitivity(args: argparse.Namespace) -> int:
                 stats = x.by_path_nodes.get(node_count)
                 if stats is not None:
                     rows.append([eta_l, x.xi, node_count, *_stat_row(stats)])
-
-    out_path = out_dir / "lq_sensitivity.csv"
-    _write_csv(
-        out_path,
-        ["eta_l", "xi", "path_node_count", "mean_fidelity",
-         "min", "q1", "median", "q3", "max", "n_samples"],
-        rows,
-    )
-    items = _base_items(cfg, out_dir)
-    items = [("eta_l", eta_l_values) if k == "eta_l" else (k, v) for k, v in items]
-    _write_manifest(
-        out_dir / "lq_sensitivity_manifest.txt",
-        "lq-sensitivity",
-        [*items, ("topology", cfg.topology), ("mapping", cfg.mapping)],
-        [out_path],
-        started,
-        _now(),
-        experiment._pool_workers(1, cfg, len(cfg.resolved_xi())),
-    )
-    return 0
+    return [("lq_sensitivity.csv", ["eta_l", *_FIDELITY_COLUMNS], rows)]
 
 
-def cmd_noise_awareness(args: argparse.Namespace) -> int:
+def _noise_awareness_tables(cfg: ExperimentConfig, _values: tuple[float, ...]) -> list[_Table]:
     """Per-establishment-position fidelity under both weight mappings."""
-    res = _Resolver(args)
-    res.reject("mapping", "this study always runs both mappings")
-    f_bar = res.one("f_bar", float, 0.0)
-    if f_bar != 0.0:
-        raise UsageError("this study requires a zero fidelity threshold")
-    cfg, out_dir = _build_config(
-        res,
-        topology=res.one("topology", str, CYLINDER),
-        eta_l=res.one("eta_l", float, 0.8),
-        f_bar=0.0,
-        default_xi=COARSE_XI_GRID,
-    )
-    res.finish()
-    started = _now()
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    profiles = study_noise_awareness(cfg)
     point_rows = []
     mean_rows = []
-    for profile in profiles:
+    for profile in study_noise_awareness(cfg):
         for fidelity in profile.fidelities:
             point_rows.append([profile.mapping, profile.xi, profile.theta, fidelity])
         if profile.count:
             mean_rows.append(
                 [profile.mapping, profile.xi, profile.theta, profile.mean, profile.count]
             )
-
-    points_path = out_dir / "fidelity_vs_theta_points.csv"
-    means_path = out_dir / "fidelity_vs_theta_means.csv"
-    _write_csv(points_path, ["mapping", "xi", "theta", "fidelity"], point_rows)
-    _write_csv(
-        means_path, ["mapping", "xi", "theta", "mean_fidelity", "n_samples"], mean_rows
-    )
-    _write_manifest(
-        out_dir / "noise_awareness_manifest.txt",
-        "noise-awareness",
-        [*_base_items(cfg, out_dir), ("topology", cfg.topology)],
-        [points_path, means_path],
-        started,
-        _now(),
-        experiment._pool_workers(len(MAPPINGS), cfg, len(cfg.resolved_xi())),
-    )
-    return 0
+    return [
+        ("fidelity_vs_theta_points.csv", ["mapping", "xi", "theta", "fidelity"], point_rows),
+        ("fidelity_vs_theta_means.csv",
+         ["mapping", "xi", "theta", "mean_fidelity", "n_samples"], mean_rows),
+    ]
 
 
-def cmd_blocking(args: argparse.Namespace) -> int:
+def _blocking_tables(cfg: ExperimentConfig, f_bar_values: tuple[float, ...]) -> list[_Table]:
     """Blocking probability versus xi for several fidelity thresholds."""
+    points = study_blocking(cfg, f_bar_values)
+    rows = [[p.mapping, p.f_bar, p.xi, p.blocking_probability] for p in points]
+    return [("blocking_vs_xi.csv", ["mapping", "f_bar", "xi", "blocking_prob"], rows)]
+
+
+@dataclass(frozen=True)
+class _Study:
+    """What sets one subcommand's study apart; :func:`_run` does the rest.
+
+    ``tables(config, values)`` runs the study and returns its CSVs,
+    ``values`` being those of the repeated key (empty without one).
+    """
+
+    help: str
+    tables: Callable[[ExperimentConfig, tuple[float, ...]], list[_Table]]
+    owns: str | None = None  # a key the study sets itself and rejects
+    repeats: str | None = None  # a config field that takes several values
+    defaults: tuple[float, ...] = ()  # the repeated key's values when none is given
+    xi_grid: tuple[float, ...] | None = None  # None: all multiples of 1/n^2
+    zero_f_bar: bool = False  # the study accepts only a zero threshold
+
+
+_STUDIES = {
+    "topology-study": _Study(
+        "fidelity and blocking versus xi on both topologies",
+        _topology_tables, owns="topology",
+    ),
+    "lq-sensitivity": _Study(
+        "fidelity versus xi for several low-quality noise rates",
+        _lq_sensitivity_tables, repeats="eta_l", defaults=DEFAULT_ETA_L_VALUES,
+    ),
+    "noise-awareness": _Study(
+        "fidelity by establishment order under both weight mappings",
+        _noise_awareness_tables, owns="mapping", xi_grid=COARSE_XI_GRID, zero_f_bar=True,
+    ),
+    "blocking": _Study(
+        "blocking probability versus xi for several fidelity thresholds",
+        _blocking_tables, owns="mapping", repeats="f_bar", defaults=DEFAULT_F_BAR_VALUES,
+    ),
+}
+_BOTH = {"topology": "both topologies", "mapping": "both mappings"}
+
+
+def _run(command: str, args: argparse.Namespace) -> int:
+    """Resolve and check the whole configuration of a study, every value of
+    its repeated key included, then run it and write its CSVs and manifest."""
+    study = _STUDIES[command]
     res = _Resolver(args)
-    res.reject("mapping", "this study always runs both mappings")
-    f_bar_values = res.many("f_bar", float, DEFAULT_F_BAR_VALUES)
-    cfg, out_dir = _build_config(
-        res,
-        topology=res.one("topology", str, CYLINDER),
-        eta_l=res.one("eta_l", float, 0.8),
-        f_bar=0.0,
-    )
+    if study.owns:
+        res.reject(study.owns, f"this study always runs {_BOTH[study.owns]}")
+    values = res.many(study.repeats, float, study.defaults) if study.repeats else ()
+    given = {
+        field: res.one(key, cast, None)
+        for key, (field, cast) in _KEYS.items()
+        if key not in ("xi", "seed", "out_dir", study.owns, study.repeats)
+    }
+    if study.zero_f_bar and given["f_bar"]:
+        raise UsageError("this study requires a zero fidelity threshold")
+    given.update(xi_values=_resolve_xi(res, study.xi_grid), seed=res.seed())
+    out_dir = Path(res.one("out_dir", str, DEFAULT_OUT_DIR))
+    try:
+        cfg = ExperimentConfig(
+            **{"topology": CYLINDER, **{k: v for k, v in given.items() if v is not None}}
+        )
+        for value in values:
+            replace(cfg, **{study.repeats: value})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     res.finish()
     started = _now()
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    points = study_blocking(cfg, f_bar_values)
-    rows = [[p.mapping, p.f_bar, p.xi, p.blocking_probability] for p in points]
-
-    out_path = out_dir / "blocking_vs_xi.csv"
-    _write_csv(out_path, ["mapping", "f_bar", "xi", "blocking_prob"], rows)
-    items = [
-        (k, f_bar_values) if k == "f_bar" else (k, v)
-        for k, v in _base_items(cfg, out_dir)
-    ]
-    _write_manifest(
-        out_dir / "blocking_manifest.txt",
-        "blocking",
-        [*items, ("topology", cfg.topology)],
-        [out_path],
-        started,
-        _now(),
-        experiment._pool_workers(len(MAPPINGS), cfg, len(cfg.resolved_xi())),
-    )
+    outputs = []
+    for file_name, header, rows in study.tables(cfg, values):
+        _write_csv(out_dir / file_name, header, rows)
+        outputs.append(("output", file_name))
+    passes = len(MAPPINGS) if study.owns == "mapping" else 1
+    derived = {"xi": cfg.resolved_xi(), "out_dir": out_dir, study.repeats: values}
+    _write_manifest(out_dir / f"{command.replace('-', '_')}_manifest.txt", [
+        ("command", command),
+        ("version", __version__),
+        ("started", started),
+        ("finished", _now()),
+        ("workers", experiment._pool_workers(passes, cfg, len(cfg.resolved_xi()))),
+        *outputs,
+        *((key, derived[key] if key in derived else getattr(cfg, field))
+          for key, (field, _) in _KEYS.items() if key != study.owns),
+    ])
     return 0
 
 
@@ -474,34 +405,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = (
-        ("topology-study", cmd_topology_study, False,
-         "fidelity and blocking versus xi on both topologies"),
-        ("lq-sensitivity", cmd_lq_sensitivity, True,
-         "fidelity versus xi for several low-quality noise rates"),
-        ("noise-awareness", cmd_noise_awareness, True,
-         "fidelity by establishment order under both weight mappings"),
-        ("blocking", cmd_blocking, True,
-         "blocking probability versus xi for several fidelity thresholds"),
-    )
-    for name, func, topology_choice, help_text in commands:
-        p = sub.add_parser(name, help=help_text)
-        _common_flags(p, topology_choice=topology_choice)
-        p.set_defaults(func=func)
+    for name, study in _STUDIES.items():
+        p = sub.add_parser(name, help=study.help)
+        _common_flags(p, topology_choice=study.owns != "topology")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        return _run(args.command, args)
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

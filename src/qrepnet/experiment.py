@@ -48,6 +48,7 @@ import numpy as np
 from . import routing
 from .fidelity import MIN_LINK_FIDELITY, MIN_NOISE_RATE, NoiseClass
 from .routing import (
+    DEFAULT_LQ_WEIGHT,
     BlockReason,
     PathAllocation,
     WeightMapping,
@@ -62,6 +63,8 @@ from .topology import TOPOLOGIES, GRID, NetworkGraph, base_network
 __all__ = [
     "AWARE",
     "COARSE_XI_GRID",
+    "DEFAULT_ETA_L_VALUES",
+    "DEFAULT_F_BAR_VALUES",
     "DEFAULT_SEED",
     "MAPPINGS",
     "UNAWARE",
@@ -91,6 +94,9 @@ MAPPINGS = (UNAWARE, AWARE)
 
 # Coarse grid used by the noise-awareness study when no xi values are given.
 COARSE_XI_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+# Low-quality noise rates and fidelity thresholds compared when none are given.
+DEFAULT_ETA_L_VALUES = (0.99, 0.8)
+DEFAULT_F_BAR_VALUES = (0.53, 0.7, 0.8)
 
 _PAIRING_STREAM = 1
 _CLASS_STREAM = 2
@@ -123,7 +129,7 @@ class ExperimentConfig:
     link_fidelity: float = 0.975
     f_bar: float = 0.0
     mapping: str = UNAWARE
-    aware_weight: float = 100.0
+    aware_weight: float = DEFAULT_LQ_WEIGHT
     num_pair_draws: int = 5
     num_class_draws: int = 100
     seed: int = DEFAULT_SEED
@@ -542,7 +548,7 @@ def sweep_xi(config: ExperimentConfig) -> SweepSummary:
 
 def sweep_eta_l(
     config: ExperimentConfig,
-    eta_l_values: Sequence[float] = (0.99, 0.8),
+    eta_l_values: Sequence[float] = DEFAULT_ETA_L_VALUES,
 ) -> tuple[tuple[float, SweepSummary], ...]:
     """Repeat the xi sweep for several low-quality noise rates.
 
@@ -632,7 +638,7 @@ def _count_blocks(
 
 def study_blocking(
     config: ExperimentConfig,
-    f_bar_values: Sequence[float] = (0.53, 0.7, 0.8),
+    f_bar_values: Sequence[float] = DEFAULT_F_BAR_VALUES,
 ) -> tuple[BlockingPoint, ...]:
     """Blocking probability versus xi for several fidelity thresholds.
 

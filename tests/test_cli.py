@@ -84,21 +84,37 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_manifest_replays_byte_identically(tmp_path):
-    """A manifest replays to the same CSVs; the worker count it records is
-    ignored on replay."""
+# Flags beyond FAST for each study's replayed run.
+REPLAYED = {
+    "topology-study": ["--mapping", "aware", "--f-bar", "0.6"],
+    "lq-sensitivity": ["--eta-l", "0.9", "--eta-l", "0.7", "--topology", "grid"],
+    "noise-awareness": ["--topology", "grid", "--aware-weight", "2.5"],
+    "blocking": ["--f-bar", "0.6", "--f-bar", "0.9"],
+}
+
+
+@pytest.mark.parametrize("command", REPLAYED)
+def test_manifest_replays_byte_identically(tmp_path, command):
+    """Every study's manifest, each with its own keys, replays to the same
+    CSVs and the same configuration; the worker count it records is ignored
+    on replay."""
     a, b = tmp_path / "a", tmp_path / "b"
-    run(["blocking", *FAST, "--f-bar", "0.6", "--seed", "7", "--out-dir", a])
-    manifest = a / "blocking_manifest.txt"
+    assert run([command, *FAST, *REPLAYED[command], "--seed", "7", "--out-dir", a]) == 0
+    manifest = a / f"{command.replace('-', '_')}_manifest.txt"
     text = manifest.read_text()
     assert re.search(r"^workers=[1-9][0-9]*$", text, re.M)
     manifest.write_text(re.sub(r"^workers=.*$", "workers=99", text, flags=re.M))
-    assert run(["blocking", "--config", manifest, "--out-dir", b]) == 0
-    assert (a / "blocking_vs_xi.csv").read_bytes() == (b / "blocking_vs_xi.csv").read_bytes()
-    replayed = (b / "blocking_manifest.txt").read_text()
+    assert run([command, "--config", manifest, "--out-dir", b]) == 0
+    outputs = re.findall(r"^output=(.*)$", text, re.M)
+    assert outputs
+    for name in outputs:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    replayed = (b / manifest.name).read_text()
     assert "seed=7" in replayed
     assert re.search(r"^workers=[1-9][0-9]*$", replayed, re.M)
     assert "workers=99" not in replayed
+    run_lines = re.compile(r"^(started|finished|workers|out-dir)=.*\n", re.M)
+    assert run_lines.sub("", replayed) == run_lines.sub("", text)
 
 
 def test_flags_override_config(tmp_path):
@@ -143,6 +159,20 @@ def test_usage_errors_exit_2(tmp_path):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("frobnicate=1\n")
     assert run(["topology-study", "--config", unknown]) == 2
+    # Every value of a repeated key is checked before any output is written,
+    # whether it comes from flags or from a config file.
+    for command, key, values in [
+        ("blocking", "f-bar", ["1.5"]),
+        ("blocking", "f-bar", ["0.6", "1.5"]),
+        ("lq-sensitivity", "eta-l", ["0.99", "0.4"]),
+    ]:
+        out = tmp_path / "never"
+        flags = [arg for value in values for arg in (f"--{key}", value)]
+        assert run([command, *FAST, *flags, "--out-dir", out]) == 2
+        repeated = tmp_path / "repeated.cfg"
+        repeated.write_text(f"{key}={','.join(values)}\n")
+        assert run([command, *FAST, "--config", repeated, "--out-dir", out]) == 2
+        assert not out.exists()
     # A key with no value is named with its file and line, for any study.
     for command, line in [
         ("blocking", "seed="), ("blocking", "f_bar= ,"), ("blocking", "xi="),

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo sweep drivers and their randomness contract."""
 
 import functools
+import gc
 import math
 import random
 import tracemalloc
@@ -589,22 +590,26 @@ def test_sweep_memory_is_flat_in_class_draws(in_process):
     engine's own state: buffering the batches of one xi grows the peak
     nearly twentyfold.  CPython parks freed tuples, floats, lists and dicts
     on free lists, where they stay traced; filling those lists before
-    tracing keeps them out of the peak.
+    tracing keeps them out of the peak.  A full garbage collection empties
+    those lists, so collection is off from the parking to the last read.
     """
     cfg = replace(SMALL, n=3, xi_values=(0.0, 1.0))
 
     def peak(draws):
         routing._last = None
-        parked = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
-        parked += [(i + 0.5, [i], {i: i}) for i in range(200)]
-        del parked
-        tracemalloc.start()
+        gc.collect()
+        gc.disable()
         try:
+            parked = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+            parked += [(i + 0.5, [i], {i: i}) for i in range(200)]
+            del parked
+            tracemalloc.start()
             study_blocking(replace(cfg, num_class_draws=draws))
             sweep_xi(replace(cfg, num_class_draws=draws, f_bar=0.3))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            gc.enable()
 
     peak(4)  # lazy imports and set-up
     small, large = peak(16), peak(256)
