@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -73,6 +74,10 @@ _KEYS = {
 }
 
 
+# A comment opens a line or follows whitespace, so values may hold ``#``.
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 class UsageError(Exception):
     """Invalid flag/config combination; maps to exit code 2."""
 
@@ -81,16 +86,23 @@ def _normalise_key(key: str) -> str:
     return key.strip().replace("-", "_")
 
 
+def _uncommented(line: str) -> str:
+    """``line`` up to a ``#`` that opens it or follows whitespace."""
+    return _COMMENT.split(line, 1)[0]
+
+
 def read_config(path: str | Path) -> dict[str, list[str]]:
     """Parse a ``key=value`` config file into raw string values.
 
     Repeatable keys may appear several times or hold comma-separated values;
-    ``#`` starts a comment.  A key with no value is a usage error.  Manifest
-    bookkeeping keys are skipped so a run manifest doubles as a config file.
+    ``#`` at the start of a line or after whitespace starts a comment.
+    ``out-dir`` is read whole, commas included.  A key with no value is a
+    usage error.  Manifest bookkeeping keys are skipped so a run manifest
+    doubles as a config file.
     """
     values: dict[str, list[str]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _uncommented(raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -99,7 +111,8 @@ def read_config(path: str | Path) -> dict[str, list[str]]:
         key = _normalise_key(key)
         if key in _MANIFEST_ONLY_KEYS:
             continue
-        parts = [part.strip() for part in value.split(",") if part.strip()]
+        parts = [value] if key == "out_dir" else value.split(",")
+        parts = [part.strip() for part in parts if part.strip()]
         if not parts:
             raise UsageError(f"{path}:{lineno}: {key} has no value")
         values.setdefault(key, []).extend(parts)
@@ -172,9 +185,10 @@ def _resolve_xi(res: _Resolver, default: tuple[float, ...] | None) -> tuple[floa
     if step is not None:
         if not 0.0 < step <= 1.0:
             raise UsageError(f"xi step must lie in (0, 1], got {step}")
-        count = int(round(1.0 / step))
-        values = [round(i * step, 12) for i in range(count + 1)]
-        return tuple(v for v in values if v <= 1.0 + 1e-9)
+        # Every multiple of the step up to 1, then 1 itself if the last falls short.
+        values = [round(i * step, 12) for i in range(int(1.0 / step) + 2)]
+        values = [v for v in values if v <= 1.0]
+        return tuple(values if values[-1] == 1.0 else [*values, 1.0])
     return default
 
 
@@ -366,6 +380,9 @@ def _run(command: str, args: argparse.Namespace) -> int:
         raise UsageError("this study requires a zero fidelity threshold")
     given.update(xi_values=_resolve_xi(res, study.xi_grid), seed=res.seed())
     out_dir = Path(res.one("out_dir", str, DEFAULT_OUT_DIR))
+    recorded = str(out_dir)  # as the manifest writes it, on one line
+    if recorded.splitlines() != [recorded] or _uncommented(recorded).strip() != recorded:
+        raise UsageError(f"out-dir {recorded!r} would not replay from the run manifest")
     try:
         cfg = ExperimentConfig(
             **{"topology": CYLINDER, **{k: v for k, v in given.items() if v is not None}}

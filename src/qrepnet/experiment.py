@@ -23,14 +23,16 @@ the moment it is served into state that does not grow with the class draws
 (counts, histograms of the discrete fidelities); only the noise-awareness
 study keeps its samples, because its CSV lists every one.
 
-A large enough study folds contiguous blocks of class draws in a fork pool,
-one block per CPU (:func:`_map_draws`), and merges the blocks exactly and
-in draw order, so its results are the same at any worker count.
+A large enough study folds contiguous blocks of class draws in worker
+processes, one per CPU, each forked once and sending its folds back over
+its own pipe (:func:`_map_draws`).  The parent merges the blocks exactly
+and in draw order, so its results are the same at any worker count.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import threading
 import warnings
@@ -38,7 +40,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, chain, product
 from math import floor, isfinite, lcm
 from operator import add
@@ -267,9 +269,9 @@ def _sweep(
                     yield i, j, p, graph, allocations, blocked
 
 
-# Below this many requests at one threshold a fork pool costs a study more
-# than its workers save: the crossover measured on 2 CPUs in BENCH_7.json.
-_MIN_POOLED_REQUESTS = 8_000
+# Below this many requests at one threshold forking workers costs a study
+# more than they save: the crossover measured on 2 CPUs in BENCH_10.json.
+_MIN_POOLED_REQUESTS = 4_000
 _ENGINE_CODE = allocate_batch.__code__
 
 
@@ -296,10 +298,84 @@ def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:
     return min(cpus, passes * min(cpus, config.num_class_draws))
 
 
-def _pooled(fold: Callable[..., list], task: tuple) -> tuple[list, routing.Counters]:
-    """A fold run by a worker, and the routing counts it made."""
-    routing.counters = routing.Counters()
-    return fold(*task), routing.counters
+def _fold_in_child(fold: Callable[..., list], tasks: Sequence[tuple], out: int) -> None:
+    """Fold ``tasks`` in a forked child, write one pickle to the pipe end
+    ``out`` and leave: the folds and the routing counts they made, or the
+    error raised and its traceback.  Never returns into the parent's code."""
+    status = 1
+    try:
+        routing.counters = routing.Counters()
+        try:
+            payload = pickle.dumps(([fold(*task) for task in tasks], routing.counters))
+        except BaseException as exc:  # sent to the parent, which raises it
+            import traceback  # here, to keep it out of every import of qrepnet
+
+            trace = traceback.format_exc()
+            try:
+                payload = pickle.dumps((exc, trace))
+            except Exception:  # an error that cannot be pickled: send its text
+                payload = pickle.dumps((RuntimeError(repr(exc)), trace))
+        with os.fdopen(out, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(
+    fold: Callable[..., list], tasks: Sequence[tuple], workers: int
+) -> tuple[list[list], list[routing.Counters]]:
+    """The folds of ``tasks`` in task order, worker ``w`` of ``workers``
+    forked children folding tasks ``w``, ``w + workers``, ..., and the
+    routing counts of each worker.
+
+    Each child is forked once, with its own pipe, and writes one pickle to
+    it.  The parent reads every pipe to EOF and reaps every child; on an
+    error or interrupt it kills and reaps the children still running, so
+    none outlives the call.  The first worker error is raised again here.
+    """
+    pids: list[int] = []
+    pipes = []
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fold_in_child(fold, tasks[w::workers], write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        payloads = []
+        for pipe, pid in zip(pipes, tuple(pids)):
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            if data:
+                payloads.append(pickle.loads(data))
+            else:
+                code = os.waitstatus_to_exitcode(status)
+                died = RuntimeError(f"a class-draw worker exited with status {code} "
+                                    "and sent no result")
+                payloads.append((died, None))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:  # an error or interrupt left children running
+            from signal import SIGKILL
+
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    for error, trace in payloads:
+        if isinstance(error, BaseException):
+            cause = RuntimeError(f"in a class-draw worker:\n{trace}") if trace else None
+            raise error from cause
+    results: list = [None] * len(tasks)
+    for w, (folds, _) in enumerate(payloads):
+        results[w::workers] = folds
+    return results, [counted for _, counted in payloads]
 
 
 def _map_draws(
@@ -312,9 +388,11 @@ def _map_draws(
     :func:`_sweep` serves for the class draws ``draws`` into a list whose
     items merge exactly with ``+``.  With ``W`` workers (see
     :func:`_pool_workers`) each pass splits its ``K`` draws into ``B =
-    min(W, K)`` blocks, block ``b`` covering ``[b K // B, (b + 1) K // B)``,
-    and the parent adds up the workers' :data:`routing.counters`.  The
-    blocks merge item by item in draw order.
+    min(W, K)`` blocks, block ``b`` covering ``[b K // B, (b + 1) K // B)``.
+    The passes' blocks form one task list, and ``W`` children, each forked
+    once with its own pipe, fold every ``W``-th task (:func:`_forked`); the
+    parent adds up the workers' :data:`routing.counters`.  The blocks merge
+    item by item in draw order.
     """
     draws = configs[0].num_class_draws
     workers = _pool_workers(len(configs), configs[0], len(xi_values))
@@ -322,12 +400,7 @@ def _map_draws(
     spans = [range(b * draws // blocks, (b + 1) * draws // blocks) for b in range(blocks)]
     tasks = [(config, xi_values, f_bars, span) for config in configs for span in spans]
     if workers > 1:
-        # Imported here, as they would add some 20 ms to every import of qrepnet.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            results, counted = zip(*pool.map(partial(_pooled, fold), tasks))
+        results, counted = _forked(fold, tasks, workers)
         counters = routing.counters  # looked up now, in case it was replaced
         for name, value in vars(counters).items():
             setattr(counters, name, value + sum(getattr(c, name) for c in counted))

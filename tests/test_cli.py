@@ -207,6 +207,11 @@ def test_xi_step_builds_a_grid(tmp_path):
         assert run([*args, "--xi-step", "0.5", "--out-dir", out]) == 0
     manifest = (out / "topology_study_manifest.txt").read_text()
     assert "xi=0.0,0.5,1.0" in manifest
+    # A step that does not divide 1 still ends the grid at 1.
+    for step, grid in (("0.3", "0.0,0.3,0.6,0.9,1.0"), ("0.35", "0.0,0.35,0.7,1.0")):
+        with pytest.warns(UserWarning):
+            assert run([*args, "--xi-step", step, "--out-dir", out]) == 0
+        assert f"xi={grid}\n" in (out / "topology_study_manifest.txt").read_text()
 
 
 def test_config_reader_details(tmp_path):
@@ -225,6 +230,25 @@ def test_config_reader_details(tmp_path):
     bad.write_text("x y\n")
     with pytest.raises(UsageError):
         read_config(bad)
+
+
+@pytest.mark.parametrize("name", ["a,b", "c#d"])
+def test_manifest_of_an_out_dir_with_a_comma_or_hash_replays(tmp_path, name):
+    """A manifest records its out-dir whole, and replaying it writes there."""
+    out = tmp_path / name
+    assert run(["blocking", *FAST, "--out-dir", out]) == 0
+    csv_file = out / "blocking_vs_xi.csv"
+    written = csv_file.read_bytes()
+    csv_file.unlink()
+    assert run(["blocking", "--config", out / "blocking_manifest.txt"]) == 0
+    assert csv_file.read_bytes() == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+@pytest.mark.parametrize("name", ["c #d", "e ", "f\ng"])
+def test_an_out_dir_a_manifest_cannot_record_exits_2(tmp_path, name):
+    assert run(["blocking", *FAST, "--out-dir", tmp_path / name]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag():

@@ -3,7 +3,11 @@
 import functools
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -649,13 +653,12 @@ def test_studies_are_bit_identical_at_any_worker_count(monkeypatch, draws):
 
 
 def refuse_pool(monkeypatch):
-    """Make starting a process pool fail."""
-    import concurrent.futures
+    """Make forking a class-draw worker fail."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(experiment.os, "fork", refuse)
 
 
 def test_run_trial_starts_no_pool(monkeypatch):
@@ -709,3 +712,87 @@ def test_a_wrapped_engine_sees_every_batch_at_any_worker_count(monkeypatch):
     monkeypatch.undo()
     use_workers(monkeypatch, 2)
     assert study_blocking(cfg, (0.3,)) == points
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fold_raises(start):
+    raise ValueError(f"draws from {start} failed")
+
+
+def fold_dies(start):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("failure, error, message", [
+    (fold_raises, ValueError, "draws from 5 failed"),
+    (fold_dies, RuntimeError, "exited with status 3 and sent no result"),
+])
+def test_a_failing_worker_fails_the_study_and_leaves_no_child(
+    monkeypatch, failure, error, message
+):
+    """The error of a fold raised in one worker, or the exit status of a
+    worker that died without a result, is raised by the study, and every
+    worker has been reaped by then."""
+    fold = experiment._fold_histograms
+
+    def failing(config, xi_values, f_bars, draws):
+        if draws.start:  # the second block, in the second worker
+            failure(draws.start)
+        return fold(config, xi_values, f_bars, draws)
+
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_fold_histograms", failing)
+    assert experiment._pool_workers(1, SMALL, len(SMALL.xi_values)) == 2
+    with pytest.raises(error, match=message):
+        sweep_xi(SMALL)
+    assert_no_child_left()
+
+
+def test_an_error_in_the_parent_kills_and_reaps_every_worker(monkeypatch):
+    """A study interrupted while a worker still runs (here by a failure to
+    read the first worker's result) kills that worker rather than wait."""
+    fold = experiment._fold_histograms
+
+    def slow(config, xi_values, f_bars, draws):
+        if draws.start:
+            time.sleep(60)
+        return fold(config, xi_values, f_bars, draws)
+
+    def interrupted(data):
+        raise KeyboardInterrupt
+
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_fold_histograms", slow)
+    monkeypatch.setattr(experiment.pickle, "loads", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sweep_xi(SMALL)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_a_pooled_study_imports_no_process_pool_machinery():
+    """Forking the workers directly needs neither ``concurrent.futures``
+    nor ``multiprocessing``."""
+    script = (
+        "import sys\n"
+        "from qrepnet import experiment\n"
+        "experiment._workers = lambda: 2\n"
+        "experiment._MIN_POOLED_REQUESTS = 0\n"
+        "config = experiment.ExperimentConfig(num_pair_draws=1, num_class_draws=4, n=3)\n"
+        "assert experiment._pool_workers(1, config, 10) == 2\n"
+        "experiment.sweep_xi(config)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "             ('concurrent', 'multiprocessing')))\n"
+    )
+    src = os.path.join(os.path.dirname(experiment.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
