@@ -4,7 +4,6 @@ from .fidelity import (
     MIN_LINK_FIDELITY,
     MIN_NOISE_RATE,
     NoiseClass,
-    PathComposition,
     end_to_end_fidelity,
     iterate_swaps,
     swap_noise_factor,

@@ -40,7 +40,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, product
 from math import floor, isfinite, lcm
 from operator import add
@@ -295,18 +295,19 @@ def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:
     if requests < _MIN_POOLED_REQUESTS or sys.platform != "linux" or wrapped:
         return 1
     cpus = _workers() if threading.active_count() == 1 else 1
-    return min(cpus, passes * min(cpus, config.num_class_draws))
+    return min(cpus, config.num_class_draws)
 
 
-def _fold_in_child(fold: Callable[..., list], tasks: Sequence[tuple], out: int) -> None:
-    """Fold ``tasks`` in a forked child, write one pickle to the pipe end
-    ``out`` and leave: the folds and the routing counts they made, or the
-    error raised and its traceback.  Never returns into the parent's code."""
+def _fold_in_child(fold: Callable[[], list], out: int) -> None:
+    """Call ``fold`` in a forked child, write one pickle to the pipe end
+    ``out`` and leave: what it returned and the routing counts it made, or
+    the error raised and its traceback.  Never returns into the parent's
+    code."""
     status = 1
     try:
         routing.counters = routing.Counters()
         try:
-            payload = pickle.dumps(([fold(*task) for task in tasks], routing.counters))
+            payload = pickle.dumps((fold(), routing.counters))
         except BaseException as exc:  # sent to the parent, which raises it
             import traceback  # here, to keep it out of every import of qrepnet
 
@@ -323,11 +324,10 @@ def _fold_in_child(fold: Callable[..., list], tasks: Sequence[tuple], out: int) 
 
 
 def _forked(
-    fold: Callable[..., list], tasks: Sequence[tuple], workers: int
+    folds: Sequence[Callable[[], list]],
 ) -> tuple[list[list], list[routing.Counters]]:
-    """The folds of ``tasks`` in task order, worker ``w`` of ``workers``
-    forked children folding tasks ``w``, ``w + workers``, ..., and the
-    routing counts of each worker.
+    """What each of ``folds`` returns, called in a child forked for it, and
+    the routing counts of each child.
 
     Each child is forked once, with its own pipe, and writes one pickle to
     it.  The parent reads every pipe to EOF and reaps every child; on an
@@ -337,13 +337,13 @@ def _forked(
     pids: list[int] = []
     pipes = []
     try:
-        for w in range(workers):
+        for fold in folds:
             read, write = os.pipe()
             pipes.append(os.fdopen(read, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _fold_in_child(fold, tasks[w::workers], write)
+                    _fold_in_child(fold, write)
             finally:
                 os.close(write)
             pids.append(pid)
@@ -372,10 +372,7 @@ def _forked(
         if isinstance(error, BaseException):
             cause = RuntimeError(f"in a class-draw worker:\n{trace}") if trace else None
             raise error from cause
-    results: list = [None] * len(tasks)
-    for w, (folds, _) in enumerate(payloads):
-        results[w::workers] = folds
-    return results, [counted for _, counted in payloads]
+    return [result for result, _ in payloads], [counted for _, counted in payloads]
 
 
 def _map_draws(
@@ -387,29 +384,28 @@ def _map_draws(
     ``fold(config, xi_values, f_bars, draws)`` folds the batches that
     :func:`_sweep` serves for the class draws ``draws`` into a list whose
     items merge exactly with ``+``.  With ``W`` workers (see
-    :func:`_pool_workers`) each pass splits its ``K`` draws into ``B =
-    min(W, K)`` blocks, block ``b`` covering ``[b K // B, (b + 1) K // B)``.
-    The passes' blocks form one task list, and ``W`` children, each forked
-    once with its own pipe, fold every ``W``-th task (:func:`_forked`); the
-    parent adds up the workers' :data:`routing.counters`.  The blocks merge
-    item by item in draw order.
+    :func:`_pool_workers`) the ``K`` draws split into ``W`` blocks, block
+    ``b`` covering ``[b K // W, (b + 1) K // W)``, and each block is folded
+    for every pass in turn, in a child forked once for it with its own pipe
+    (:func:`_forked`), so later passes reuse the routes of earlier ones;
+    the parent adds up the workers' :data:`routing.counters`.  The blocks
+    merge item by item in draw order.
     """
     draws = configs[0].num_class_draws
     workers = _pool_workers(len(configs), configs[0], len(xi_values))
-    blocks = min(workers, draws)
-    spans = [range(b * draws // blocks, (b + 1) * draws // blocks) for b in range(blocks)]
-    tasks = [(config, xi_values, f_bars, span) for config in configs for span in spans]
+    spans = [range(b * draws // workers, (b + 1) * draws // workers) for b in range(workers)]
+
+    def block(span: range) -> list[list]:
+        return [fold(config, xi_values, f_bars, span) for config in configs]
+
     if workers > 1:
-        results, counted = _forked(fold, tasks, workers)
+        blocks, counted = _forked([partial(block, span) for span in spans])
         counters = routing.counters  # looked up now, in case it was replaced
         for name, value in vars(counters).items():
             setattr(counters, name, value + sum(getattr(c, name) for c in counted))
     else:
-        results = [fold(*task) for task in tasks]
-    return [
-        [reduce(add, items) for items in zip(*results[k : k + blocks])]
-        for k in range(0, len(results), blocks)
-    ]
+        blocks = [block(spans[0])]
+    return [[reduce(add, items) for items in zip(*passes)] for passes in zip(*blocks)]
 
 
 def run_trial(
@@ -428,7 +424,7 @@ def run_trial(
         if a.path is None:
             outcomes.append(RequestOutcome(theta, None, 0, 0, None, a.blocked))
             continue
-        counts = path_composition(graph, a.path).class_counts
+        counts = path_composition(graph, a.path)
         outcomes.append(RequestOutcome(
             theta, len(a.path), counts.get(hq, 0), counts.get(lq, 0), a.fidelity, None
         ))

@@ -11,6 +11,11 @@ chain uses ``N + 1`` links, and
 
 where ``w`` is the link Werner parameter, ``nu_g`` the swap factor of node
 class ``g`` and ``N_g`` the number of path nodes in that class.
+:func:`end_to_end_fidelity` takes the counts ``N_g`` as a mapping from
+class to count, in the order a path meets the classes; the networks
+studied here have two classes, high and low quality, which
+:func:`two_class_fidelity` spells out.  The two agree to rounding, not
+bit for bit, as they multiply the factors in different orders.
 
 The noise rate must exceed 0.5 and the link fidelity must exceed 0.25,
 otherwise the swap chain has no entanglement left to track.  A direct
@@ -27,7 +32,6 @@ __all__ = [
     "MIN_LINK_FIDELITY",
     "MIN_NOISE_RATE",
     "NoiseClass",
-    "PathComposition",
     "end_to_end_fidelity",
     "iterate_swaps",
     "swap_noise_factor",
@@ -79,36 +83,21 @@ class NoiseClass:
             )
 
 
-@dataclass(frozen=True, eq=True)
-class PathComposition:
-    """How many path-interior nodes of each noise class a route crosses.
-
-    Endpoints do not swap and are not counted.  ``total_nodes`` is the number
-    of swaps performed along the route; the route then spans
-    ``total_nodes + 1`` elementary links.
-    """
-
-    class_counts: Mapping[NoiseClass, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "class_counts", dict(self.class_counts))
-        for cls, count in self.class_counts.items():
-            if count < 0 or count != int(count):
-                raise ValueError(f"node count for {cls.label} must be a non-negative integer")
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(self.class_counts.values())
-
-
-def end_to_end_fidelity(composition: PathComposition, link_fidelity: float) -> float:
+def end_to_end_fidelity(class_counts: Mapping[NoiseClass, int], link_fidelity: float) -> float:
     """Closed-form fidelity of the pair delivered across a swap chain.
 
-    ``composition`` gives the per-class counts of intermediate nodes and
-    ``link_fidelity`` the common fidelity of every elementary link.
+    ``class_counts`` gives the number of intermediate nodes of each noise
+    class and ``link_fidelity`` the common fidelity of every elementary
+    link.  The class factors are multiplied in the mapping's order, and
+    float products are not associative: the order can change the last bit.
+    Callers that must agree bit for bit therefore pass the classes in the
+    order a path meets them, as :func:`~qrepnet.routing.path_composition`
+    gives them.
     """
-    w = werner_parameter(link_fidelity) ** (composition.total_nodes + 1)
-    for cls, count in composition.class_counts.items():
+    w = werner_parameter(link_fidelity) ** (sum(class_counts.values()) + 1)
+    for cls, count in class_counts.items():
+        if count < 0:
+            raise ValueError(f"node count for {cls.label} must be non-negative, got {count}")
         w *= swap_noise_factor(cls.eta) ** count
     return werner_fidelity(w)
 

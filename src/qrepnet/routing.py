@@ -8,24 +8,28 @@ threshold, are blocked; blocked requests consume nothing.
 
 Path cost is the sum of the weights of the nodes a path enters after the
 source; tier nodes always weigh zero, transport nodes are weighed by a
-mapping from their noise rate.  Ties in cost resolve to the path whose node
-id sequence is lexicographically smallest, which pins down one deterministic
-route per (residual graph, request) pair.  Costs are compared exactly: the
-weights are scaled to integers first, so equal-cost paths tie whatever the
-order in which their weights are summed.
+mapping from their noise rate.  A network has two transport classes at
+most, high and low quality in the studies, so the router reduces a classed
+graph to one flag per node that marks the second class.  Ties in cost
+resolve to the path whose node id sequence is lexicographically smallest,
+which pins down one deterministic route per (residual graph, request)
+pair.  Costs are compared exactly: the weights are scaled to integers
+first, so equal-cost paths tie whatever the order in which their weights
+are summed.
 
 Routing runs on a static frame of the base network (sorted neighbours, each
 paired with its edge's bit), and a residual network is one int, the mask of
 edges already consumed.  The module keeps one bounded memo for the last
 classed graph served: its node costs, its routes on (source, destination,
-residual mask), the fidelity of each class sequence a route meets, one
-resumable reverse search per (destination, residual mask) and the (route,
-fidelity) served per (source, destination, residual mask).  A later graph
-inherits the routes only while the node costs are equal.  Graphs whose
-transport nodes all cost the same share one more route table while the
-frame is the same, as uniform costs route by fewest hops at any scale; so
-the routes of two cost vectors, up to scale, at most are held at any
-time.  A later graph inherits the searches while no node cost rises: a
+residual mask), one resumable reverse search per (destination, residual
+mask) and the (route, fidelity) served per (source, destination, residual
+mask).  A later graph inherits the routes only while the node costs are
+equal, and the fidelity per (noise rate, node count) of the class a route
+meets first and of the other class while the link fidelity is equal.
+Graphs whose transport nodes all cost the same share one more route table
+while the frame is the same, as uniform costs route by fewest hops at any
+scale; so the routes of two cost vectors, up to scale, at most are held at
+any time.  A later graph inherits the searches while no node cost rises: a
 search is repaired on its first use on the new graph and then moves into
 the new graph's table, so the searches of two graphs at most are alive.
 Served entries live and die with their graph.
@@ -46,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fidelity import NoiseClass, PathComposition, end_to_end_fidelity
+from .fidelity import NoiseClass, end_to_end_fidelity
 from .topology import NetworkGraph, NodeKind, base_network
 
 __all__ = [
@@ -140,34 +144,33 @@ def shuffle_requests(
     ]
 
 
-def _palette(graph: NetworkGraph) -> tuple[tuple[NoiseClass, ...], tuple[int, ...]]:
-    """A graph's distinct transport classes and every node's code into them.
+def _two_classes(
+    graph: NetworkGraph, mapping: WeightMapping
+) -> tuple[tuple[NoiseClass, NoiseClass], tuple[int, ...], tuple[int, ...]]:
+    """A classed graph's two transport classes, a flag per node and every
+    node's exact integer cost; the mapping is evaluated once per class.
 
-    The palette lists the class objects of the transport nodes by identity,
-    in node order; a node's code is ``i`` for ``palette[i - 1]`` and 0 for
-    a tier node.
+    The classes come in the order the transport nodes first show them, and
+    a graph of one class pairs it with itself.  A node's flag is 1 when it
+    belongs to the second class and 0 otherwise, tier nodes included.
     """
     transport = graph.classes[: graph.num_transport]
-    ids = tuple(map(id, transport))
-    if id(None) in ids:
-        raise ValueError(f"transport node {ids.index(id(None))} has no noise class assigned")
-    by_id = dict(zip(ids, transport))
-    code_of = {i: code for code, i in enumerate(by_id, 1)}
-    codes = tuple(map(code_of.__getitem__, ids)) + (0,) * (graph.num_nodes - len(ids))
-    return tuple(by_id.values()), codes
-
-
-def _node_costs(
-    mapping: WeightMapping, palette: Sequence[NoiseClass], codes: Sequence[int]
-) -> tuple[int, ...]:
-    """Every node's exact integer cost; the mapping is evaluated once per class."""
-    weights = [0.0]
-    for cls in palette:
+    classes = tuple(dict.fromkeys(transport))
+    if None in classes:
+        raise ValueError(f"transport node {transport.index(None)} has no noise class assigned")
+    if len(classes) > 2:
+        raise ValueError(f"the router takes two transport classes at most, got {len(classes)}")
+    weights = []
+    for cls in classes:
         w = mapping(cls.eta)
         if w <= 0.0:
             raise ValueError(f"weight mapping returned non-positive weight {w} for {cls.label}")
         weights.append(float(w))
-    return tuple(map(integer_costs(weights).__getitem__, codes))
+    first = classes[0]
+    flags = tuple(int(cls != first) for cls in transport)
+    cost = integer_costs(weights)
+    tiers = (0,) * (graph.num_nodes - len(flags))
+    return (first, classes[-1]), flags + tiers, tuple(map(cost.__getitem__, flags)) + tiers
 
 
 def integer_costs(weights: Sequence[float]) -> tuple[int, ...]:
@@ -322,29 +325,41 @@ def cheapest_route(
 
 
 def _fidelity_scorer(
-    palette: Sequence[NoiseClass], codes: Sequence[int], link_fidelity: float, memo: dict
+    classes: tuple[NoiseClass, NoiseClass],
+    flags: Sequence[int],
+    num_transport: int,
+    link_fidelity: float,
+    memo: dict,
 ) -> Callable[[Route], float]:
-    """Score routes through a memo keyed by the class codes along the route.
+    """Score routes through a memo keyed by the noise rate and node count
+    of the class a route meets first, then of the other class.
 
-    A route's fidelity depends only on the classes it meets, in order:
     :func:`end_to_end_fidelity` multiplies the class factors in encounter
-    order.  Each memo value is computed by that function from the
-    composition :func:`path_composition` would give, so every score is
-    bit-identical to scoring the route directly.  Graphs whose codes name
-    the same classes may share ``memo`` at one link fidelity.
+    order, which can change the float, so the key keeps that order.  Each
+    memo value is computed by that function from the counts
+    :func:`path_composition` would give, so every score is bit-identical
+    to scoring the route directly.  A value depends on noise rates and
+    counts only, so graphs of any classes may share ``memo`` at one link
+    fidelity.
     """
-    code_of = codes.__getitem__
+    a, b = classes
+    flag = flags.__getitem__
 
     def fidelity(route: Route) -> float:
-        key = tuple(map(code_of, route.path))
+        path = route.path
+        # Tier nodes are leaves, so only the ends of a route may be tier nodes.
+        start = path[0] >= num_transport
+        n_b = sum(map(flag, path))
+        n_a = len(path) - start - (path[-1] >= num_transport) - n_b
+        met = ((b, n_b), (a, n_a)) if flags[path[start]] else ((a, n_a), (b, n_b))
+        (first, n_first), (other, n_other) = met
+        key = (first.eta, n_first, other.eta, n_other)
         f = memo.get(key)
         if f is None:
-            counts: dict[NoiseClass, int] = {}
-            for code in key:
-                if code:
-                    cls = palette[code - 1]
-                    counts[cls] = counts.get(cls, 0) + 1
-            f = memo[key] = end_to_end_fidelity(PathComposition(counts), link_fidelity)
+            # A one-class graph pairs its class with itself: drop the zero
+            # count, which would otherwise overwrite the other.
+            counts = {cls: count for cls, count in met if count}
+            f = memo[key] = end_to_end_fidelity(counts, link_fidelity)
         return f
 
     return fidelity
@@ -353,9 +368,9 @@ def _fidelity_scorer(
 class _Router(NamedTuple):
     """What serving a batch on one classed graph needs besides its requests.
 
-    ``known`` lists the classes behind the codes of the score memo
-    ``scores``.  ``searches`` maps (destination, residual mask) to its
-    :class:`Search`, and ``served`` maps (source, destination, residual
+    ``scores`` is the score memo of :func:`_fidelity_scorer`, which
+    ``fidelity`` fills.  ``searches`` maps (destination, residual mask) to
+    its :class:`Search`, and ``served`` maps (source, destination, residual
     mask) to the (route, fidelity) served on this graph.  ``carried`` is
     the previous graph's ``searches``, which this graph may take over after
     pushing back the nodes ``lowered``, whose costs fell.  ``hops`` is the
@@ -369,7 +384,6 @@ class _Router(NamedTuple):
     link_fidelity: float
     costs: tuple[int, ...]
     routes: dict
-    known: tuple[NoiseClass, ...]
     scores: dict
     fidelity: Callable[[Route], float]
     searches: dict
@@ -414,13 +428,15 @@ def _router(
 ) -> _Router:
     """Node costs, route memo and scorer for a classed graph.
 
-    The last router is reused while calls pass the same ``classes`` tuple
-    (which it keeps alive), frame, mapping and link fidelity, as consecutive
-    batches of one class draw do.  A mapping is taken to be a pure function
-    of the noise rate.  A new router takes over the last one's routes while
-    the frame and the node costs are equal, and its fidelity scores while
-    the link fidelity is equal and the graph brings no class they lack.
-    Every graph whose transport nodes all cost the same, as the unaware
+    The graph's two classes, node flags and costs come from
+    :func:`_two_classes`, which rejects an unclassed transport node or a
+    third class.  The last router is reused while calls pass the same
+    ``classes`` tuple (which it keeps alive), frame, mapping and link
+    fidelity, as consecutive batches of one class draw do.  A mapping is
+    taken to be a pure function of the noise rate.  A new router takes over
+    the last one's routes while the frame and the node costs are equal, and
+    its fidelity scores, which are keyed on noise rates rather than classes,
+    while the link fidelity is equal.  Every graph whose transport nodes all cost the same, as the unaware
     mapping's and the all-LQ and all-HQ graphs of a sweep do, routes
     through the frame's one ``hops`` table: scaling every cost by one
     factor keeps the order of path costs, so such graphs share their
@@ -441,10 +457,8 @@ def _router(
         and last.link_fidelity == link_fidelity
     ):
         return last
-    palette, codes = _palette(graph)
-    costs = _node_costs(mapping, palette, codes)
-    routes, hops = {}, {}
-    known, scores = palette, {}
+    classes, flags, costs = _two_classes(graph, mapping)
+    routes, hops, scores = {}, {}, {}
     carried, lowered = {}, ()
     if last is not None:
         if last.frame is frame:
@@ -454,15 +468,14 @@ def _router(
         if last.frame is frame and last.mapping is mapping and all(map(le, costs, last.costs)):
             carried = last.searches
             lowered = tuple(v for v, (c, was) in enumerate(zip(costs, last.costs)) if c < was)
-        if last.link_fidelity == link_fidelity and all(cls in last.known for cls in palette):
-            known, scores = last.known, last.scores
-            recode = (0, *(known.index(cls) + 1 for cls in palette))
-            codes = tuple(map(recode.__getitem__, codes))
+        if last.link_fidelity == link_fidelity:
+            scores = last.scores
     if len(set(costs) - {0}) == 1:
         routes = hops
+    scorer = _fidelity_scorer(classes, flags, graph.num_transport, link_fidelity, scores)
     _last = _Router(
-        graph.classes, frame, mapping, link_fidelity, costs, routes, known, scores,
-        _fidelity_scorer(known, codes, link_fidelity, scores), {}, {}, carried, lowered, hops,
+        graph.classes, frame, mapping, link_fidelity, costs, routes, scores, scorer,
+        {}, {}, carried, lowered, hops,
     )
     return _last
 
@@ -504,13 +517,14 @@ def shortest_path(
     if source == destination:
         raise ValueError("source and destination must differ")
     frame, used = network_frame(graph)
-    costs = _node_costs(mapping, *_palette(graph))
+    _, _, costs = _two_classes(graph, mapping)
     route = cheapest_route(frame, costs, source, destination, used)
     return None if route is None else route.path
 
 
-def path_composition(graph: NetworkGraph, path: Sequence[int]) -> PathComposition:
-    """Count the noise classes of the transport nodes along a path."""
+def path_composition(graph: NetworkGraph, path: Sequence[int]) -> dict[NoiseClass, int]:
+    """Count the noise classes of the transport nodes along a path, in the
+    order the path meets them."""
     counts: dict[NoiseClass, int] = {}
     for v in path:
         if graph.kinds[v] is not NodeKind.TRANSPORT:
@@ -519,7 +533,7 @@ def path_composition(graph: NetworkGraph, path: Sequence[int]) -> PathCompositio
         if cls is None:
             raise ValueError(f"transport node {v} has no noise class assigned")
         counts[cls] = counts.get(cls, 0) + 1
-    return PathComposition(counts)
+    return counts
 
 
 def allocate_batch(

@@ -41,7 +41,6 @@ from qrepnet import (
     UNAWARE,
     ExperimentConfig,
     NoiseClass,
-    PathComposition,
     RoutingRequest,
     allocate_batch,
     assign_classes,
@@ -255,9 +254,7 @@ def test_criterion_01_closed_form_agrees_with_stepwise_oracle():
         n = int(rng.integers(0, 13))
         eta_list = [0.5 + 0.5 * (1.0 - float(rng.random())) for _ in range(n)]
         f = 0.25 + 0.75 * (1.0 - float(rng.random()))
-        comp = PathComposition(
-            {NoiseClass(f"c{i}", eta): 1 for i, eta in enumerate(eta_list)}
-        )
+        comp = {NoiseClass(f"c{i}", eta): 1 for i, eta in enumerate(eta_list)}
         worst = max(worst, abs(end_to_end_fidelity(comp, f) - iterate_swaps(eta_list, f)))
     ok = worst <= 1e-12
     record_criterion(1, ok, f"closed form vs stepwise fold, max |diff| = {worst:.2e}")

@@ -43,7 +43,7 @@ from qrepnet import (
 )
 from qrepnet import experiment, routing
 from qrepnet.routing import (
-    _fidelity_scorer, allocate_batch, _palette, cheapest_route, network_frame
+    _fidelity_scorer, _two_classes, allocate_batch, cheapest_route, network_frame
 )
 from qrepnet.topology import base_network
 
@@ -288,36 +288,45 @@ def test_eta_sweep_shares_randomness():
 
 
 def test_memoised_scorer_equals_scoring_the_composition():
-    """The class-sequence fidelity memo is exact, not approximate.
+    """The fidelity memo, keyed by (noise rate, node count) of the class a
+    route meets first and of the other class, is exact, not approximate.
 
     ``end_to_end_fidelity`` multiplies class factors in the order the path
     meets the classes, so routes that meet a high-quality node first and
     routes that meet a low-quality node first must both reproduce it bit
-    for bit, on a memo miss and on a hit, with the memo shared by graphs
-    of different class draws.
+    for bit, on a memo miss and on a hit.  One memo serves every graph:
+    mixed graphs, one-class graphs (xi = 0 and xi = 1), a low-quality
+    rate equal to the high-quality one under its own label, and fresh
+    class objects per graph, as ``sweep_eta_l`` and the two mapping passes
+    make them.
     """
-    cfg = ExperimentConfig(topology=CYLINDER, n=5)
-    hq, lq = cfg.hq_class(), cfg.lq_class()
-    rng = np.random.default_rng(404)
     base = build_network(CYLINDER, 5)
     frame, _ = network_frame(base)
-    memos = {}
+    rng = np.random.default_rng(404)
+    memo = {}
     firsts = set()
-    for xi in (0.2, 0.48, 0.76):
-        classed = assign_classes(base, xi, hq, lq, rng)
-        palette, codes = _palette(classed)
-        memo = memos.setdefault(palette, {})
-        score = _fidelity_scorer(palette, codes, cfg.link_fidelity, memo)
-        for _ in range(60):
-            costs = tuple(int(c) for c in rng.integers(1, 9, base.num_transport)) + (0,) * 10
-            source = base.source_id(int(rng.integers(5)))
-            destination = base.destination_id(int(rng.integers(5)))
-            route = cheapest_route(frame, costs, source, destination, 0)
-            want = end_to_end_fidelity(path_composition(classed, route.path), cfg.link_fidelity)
-            assert score(route) == want
-            assert score(route) == want
-            firsts.add(classed.classes[route.path[1]])
-    assert firsts == {hq, lq}
+    for eta_l in (0.8, 0.9, 0.999):
+        cfg = ExperimentConfig(topology=CYLINDER, n=5, eta_l=eta_l)
+        for xi in (0.0, 0.2, 0.48, 0.76, 1.0):
+            hq, lq = cfg.hq_class(), cfg.lq_class()
+            classed = assign_classes(base, xi, hq, lq, rng)
+            classes, flags, _ = _two_classes(classed, cfg.weight_mapping())
+            score = _fidelity_scorer(
+                classes, flags, base.num_transport, cfg.link_fidelity, memo
+            )
+            for _ in range(40):
+                costs = tuple(int(c) for c in rng.integers(1, 9, base.num_transport)) + (0,) * 10
+                source = base.source_id(int(rng.integers(5)))
+                destination = base.destination_id(int(rng.integers(5)))
+                route = cheapest_route(frame, costs, source, destination, 0)
+                want = end_to_end_fidelity(
+                    path_composition(classed, route.path), cfg.link_fidelity
+                )
+                assert score(route) == want
+                assert score(route) == want
+                firsts.add((eta_l, xi, classed.classes[route.path[1]].label))
+    mixed = {(eta_l, label) for eta_l, xi, label in firsts if 0.0 < xi < 1.0}
+    assert mixed == {(eta_l, label) for eta_l in (0.8, 0.9, 0.999) for label in ("HQ", "LQ")}
 
 
 def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch, in_process):
@@ -646,9 +655,10 @@ def test_studies_are_bit_identical_at_any_worker_count(monkeypatch, draws):
     assert counts[2] > 0 and counts[3] > 0
     for workers in (2, 3):
         use_workers(monkeypatch, workers)
-        # The blocking study runs two passes of up to ``workers`` blocks.
+        # Each worker folds one block of class draws, for both passes of
+        # the blocking study.
         pooled = experiment._pool_workers(2, cfg, len(cfg.xi_values))
-        assert pooled == min(workers, 2 * min(workers, draws))
+        assert pooled == min(workers, draws)
         assert all_studies(monkeypatch, cfg) == (serial, counts)
 
 

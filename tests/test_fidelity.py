@@ -15,7 +15,6 @@ from qrepnet import (
     MIN_LINK_FIDELITY,
     MIN_NOISE_RATE,
     NoiseClass,
-    PathComposition,
     end_to_end_fidelity,
     iterate_swaps,
     swap_noise_factor,
@@ -66,26 +65,15 @@ def test_frozen_values_closed_form(n_h, n_l, eta_l, expected):
 
 @pytest.mark.parametrize("n_h,n_l,eta_l,expected", FROZEN)
 def test_frozen_values_composition(n_h, n_l, eta_l, expected):
-    comp = PathComposition({NoiseClass("HQ", 0.999): n_h, NoiseClass("LQ", eta_l): n_l})
+    comp = {NoiseClass("HQ", 0.999): n_h, NoiseClass("LQ", eta_l): n_l}
     assert end_to_end_fidelity(comp, 0.975) == pytest.approx(expected, abs=1e-12)
 
 
-def test_composition_total_nodes():
-    comp = PathComposition({HQ: 3, LQ: 2})
-    assert comp.total_nodes == 5
-    assert PathComposition({}).total_nodes == 0
-
-
 def test_composition_rejects_negative_count():
-    with pytest.raises(ValueError):
-        PathComposition({HQ: -1})
-
-
-def test_composition_copies_its_mapping():
-    counts = {HQ: 2}
-    comp = PathComposition(counts)
-    counts[HQ] = 99
-    assert comp.class_counts[HQ] == 2
+    with pytest.raises(ValueError, match="non-negative"):
+        end_to_end_fidelity({HQ: -1}, 0.975)
+    with pytest.raises(ValueError, match="non-negative"):
+        end_to_end_fidelity({HQ: 3, LQ: -1}, 0.975)
 
 
 @pytest.mark.parametrize("bad", [0.25, 0.1, 0.0, 1.01, -1.0])
@@ -112,9 +100,7 @@ def test_two_class_rejects_negative_counts():
 @given(st.lists(etas, max_size=12), fids)
 def test_closed_form_matches_stepwise_fold(eta_list, f):
     """The product form and the one-swap-at-a-time fold agree to 1e-12."""
-    comp = PathComposition(
-        {NoiseClass(f"c{i}", eta): 1 for i, eta in enumerate(eta_list)}
-    )
+    comp = {NoiseClass(f"c{i}", eta): 1 for i, eta in enumerate(eta_list)}
     assert abs(end_to_end_fidelity(comp, f) - iterate_swaps(eta_list, f)) <= 1e-12
 
 

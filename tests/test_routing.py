@@ -154,6 +154,29 @@ def test_shortest_path_requires_classes():
         shortest_path(g, 4, 7, UNIT)
 
 
+def route_one(graph):
+    return shortest_path(graph, 4, 7, UNIT)
+
+
+def serve_one(graph):
+    return allocate_batch(graph, [RoutingRequest(4, 7, 1)], UNIT, 0.0, 0.975)
+
+
+@pytest.mark.parametrize("entry", [route_one, serve_one])
+@pytest.mark.parametrize("assignment, message", [
+    ({0: HQ, 1: LQ, 2: LQ}, "transport node 3 has no noise class"),
+    ({0: HQ, 1: LQ, 2: NoiseClass("MQ", 0.9), 3: LQ}, "two transport classes at most"),
+])
+def test_the_router_takes_two_classes_at_most(entry, assignment, message):
+    """Both routing entry points reject an unclassed transport node and a
+    third transport class; a class equal to another by value is the same
+    class."""
+    g = build_network(GRID, 2)
+    with pytest.raises(ValueError, match=message):
+        entry(g.with_classes(assignment))
+    assert entry(g.with_classes({0: HQ, 1: LQ, 2: NoiseClass("LQ", 0.8), 3: HQ}))
+
+
 def test_mapping_constructors_validate():
     with pytest.raises(ValueError):
         noise_aware_mapping(0.8, 0.0)
@@ -287,8 +310,8 @@ def test_allocation_fidelity_matches_composition():
     for a in allocations:
         if a.allocated:
             comp = path_composition(g, a.path)
-            n_h = comp.class_counts.get(HQ, 0)
-            n_l = comp.class_counts.get(LQ, 0)
+            n_h = comp.get(HQ, 0)
+            n_l = comp.get(LQ, 0)
             assert n_h + n_l == len(a.path) - 2
             assert a.fidelity == pytest.approx(
                 two_class_fidelity(n_h, n_l, 0.999, 0.8, 0.975), abs=1e-12
