@@ -386,10 +386,12 @@ def _map_draws(
     items merge exactly with ``+``.  With ``W`` workers (see
     :func:`_pool_workers`) the ``K`` draws split into ``W`` blocks, block
     ``b`` covering ``[b K // W, (b + 1) K // W)``, and each block is folded
-    for every pass in turn, in a child forked once for it with its own pipe
-    (:func:`_forked`), so later passes reuse the routes of earlier ones;
-    the parent adds up the workers' :data:`routing.counters`.  The blocks
-    merge item by item in draw order.
+    for every config in turn, in a child forked once for it with its own
+    pipe (:func:`_forked`), so a later config reuses the routes of earlier
+    ones; the parent adds up the workers' :data:`routing.counters`.  The
+    blocks merge item by item in draw order.  Passes folded by separate
+    calls, as the :func:`sweep_xi` calls of :func:`sweep_eta_l` are, share
+    no worker: each call forks its own, with the parent's routing memo.
     """
     draws = configs[0].num_class_draws
     workers = _pool_workers(len(configs), configs[0], len(xi_values))

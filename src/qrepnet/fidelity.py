@@ -11,11 +11,12 @@ chain uses ``N + 1`` links, and
 
 where ``w`` is the link Werner parameter, ``nu_g`` the swap factor of node
 class ``g`` and ``N_g`` the number of path nodes in that class.
-:func:`end_to_end_fidelity` takes the counts ``N_g`` as a mapping from
-class to count, in the order a path meets the classes; the networks
-studied here have two classes, high and low quality, which
-:func:`two_class_fidelity` spells out.  The two agree to rounding, not
-bit for bit, as they multiply the factors in different orders.
+The networks studied here have two classes, high and low quality, and
+:func:`two_class_fidelity` spells the form out for them; the router scores
+every route with it.  :func:`end_to_end_fidelity` takes the counts ``N_g``
+of any number of classes, and :func:`iterate_swaps` folds the swaps one
+by one: both serve as cross-checks.  The closed forms agree to rounding,
+not bit for bit, as they multiply the factors in different orders.
 
 The noise rate must exceed 0.5 and the link fidelity must exceed 0.25,
 otherwise the swap chain has no entanglement left to track.  A direct
@@ -87,12 +88,8 @@ def end_to_end_fidelity(class_counts: Mapping[NoiseClass, int], link_fidelity: f
     """Closed-form fidelity of the pair delivered across a swap chain.
 
     ``class_counts`` gives the number of intermediate nodes of each noise
-    class and ``link_fidelity`` the common fidelity of every elementary
-    link.  The class factors are multiplied in the mapping's order, and
-    float products are not associative: the order can change the last bit.
-    Callers that must agree bit for bit therefore pass the classes in the
-    order a path meets them, as :func:`~qrepnet.routing.path_composition`
-    gives them.
+    class, as :func:`~qrepnet.routing.path_composition` counts them, and
+    ``link_fidelity`` the common fidelity of every elementary link.
     """
     w = werner_parameter(link_fidelity) ** (sum(class_counts.values()) + 1)
     for cls, count in class_counts.items():
@@ -111,7 +108,8 @@ def two_class_fidelity(
 ) -> float:
     """End-to-end fidelity over ``n_h`` high-quality and ``n_l`` low-quality nodes.
 
-    Spelled out for the two-class networks studied here:
+    Spelled out for the two-class networks studied here, and the score of
+    every route the router serves:
 
         F = 1/4 * (1 + 3 * nu_h**n_h * nu_l**n_l * w**(n_h + n_l + 1))
     """

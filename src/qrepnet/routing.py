@@ -9,8 +9,8 @@ threshold, are blocked; blocked requests consume nothing.
 Path cost is the sum of the weights of the nodes a path enters after the
 source; tier nodes always weigh zero, transport nodes are weighed by a
 mapping from their noise rate.  A network has two transport classes at
-most, high and low quality in the studies, so the router reduces a classed
-graph to one flag per node that marks the second class.  Ties in cost
+most, high and low quality, so the router reduces a classed graph to one
+flag per node that marks the low-quality class.  Ties in cost
 resolve to the path whose node id sequence is lexicographically smallest,
 which pins down one deterministic route per (residual graph, request)
 pair.  Costs are compared exactly: the weights are scaled to integers
@@ -24,8 +24,8 @@ classed graph served: its node costs, its routes on (source, destination,
 residual mask), one resumable reverse search per (destination, residual
 mask) and the (route, fidelity) served per (source, destination, residual
 mask).  A later graph inherits the routes only while the node costs are
-equal, and the fidelity per (noise rate, node count) of the class a route
-meets first and of the other class while the link fidelity is equal.
+equal, and the fidelity per (noise rate, node count) of each class while
+the link fidelity is equal.
 Graphs whose transport nodes all cost the same share one more route table
 while the frame is the same, as uniform costs route by fewest hops at any
 scale; so the routes of two cost vectors, up to scale, at most are held at
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fidelity import NoiseClass, end_to_end_fidelity
+from .fidelity import NoiseClass, two_class_fidelity
 from .topology import NetworkGraph, NodeKind, base_network
 
 __all__ = [
@@ -146,31 +146,34 @@ def shuffle_requests(
 
 def _two_classes(
     graph: NetworkGraph, mapping: WeightMapping
-) -> tuple[tuple[NoiseClass, NoiseClass], tuple[int, ...], tuple[int, ...]]:
-    """A classed graph's two transport classes, a flag per node and every
-    node's exact integer cost; the mapping is evaluated once per class.
+) -> tuple[tuple[float, float], tuple[int, ...], tuple[int, ...]]:
+    """A classed graph's high- and low-quality noise rates, a flag per node
+    and every node's exact integer cost; the mapping is evaluated once per
+    class.
 
-    The classes come in the order the transport nodes first show them, and
-    a graph of one class pairs it with itself.  A node's flag is 1 when it
-    belongs to the second class and 0 otherwise, tier nodes included.
+    The class of the higher noise rate, then of the smaller label, is the
+    high-quality one, and a graph of one class pairs its rate with itself.  A
+    node's flag is 1 when it belongs to the low-quality class and 0
+    otherwise, tier nodes included.
     """
     transport = graph.classes[: graph.num_transport]
-    classes = tuple(dict.fromkeys(transport))
-    if None in classes:
+    distinct = set(transport)
+    if None in distinct:
         raise ValueError(f"transport node {transport.index(None)} has no noise class assigned")
-    if len(classes) > 2:
-        raise ValueError(f"the router takes two transport classes at most, got {len(classes)}")
+    if len(distinct) > 2:
+        raise ValueError(f"the router takes two transport classes at most, got {len(distinct)}")
+    classes = sorted(distinct, key=lambda cls: (-cls.eta, cls.label))
     weights = []
     for cls in classes:
         w = mapping(cls.eta)
         if w <= 0.0:
             raise ValueError(f"weight mapping returned non-positive weight {w} for {cls.label}")
         weights.append(float(w))
-    first = classes[0]
-    flags = tuple(int(cls != first) for cls in transport)
+    flags = tuple(int(cls != classes[0]) for cls in transport)
     cost = integer_costs(weights)
     tiers = (0,) * (graph.num_nodes - len(flags))
-    return (first, classes[-1]), flags + tiers, tuple(map(cost.__getitem__, flags)) + tiers
+    costs = tuple(map(cost.__getitem__, flags)) + tiers
+    return (classes[0].eta, classes[-1].eta), flags + tiers, costs
 
 
 def integer_costs(weights: Sequence[float]) -> tuple[int, ...]:
@@ -325,41 +328,31 @@ def cheapest_route(
 
 
 def _fidelity_scorer(
-    classes: tuple[NoiseClass, NoiseClass],
+    rates: tuple[float, float],
     flags: Sequence[int],
     num_transport: int,
     link_fidelity: float,
     memo: dict,
 ) -> Callable[[Route], float]:
-    """Score routes through a memo keyed by the noise rate and node count
-    of the class a route meets first, then of the other class.
+    """Score routes by their high- and low-quality node counts alone,
+    through :func:`two_class_fidelity` and a memo keyed by each class's
+    noise rate and count.
 
-    :func:`end_to_end_fidelity` multiplies the class factors in encounter
-    order, which can change the float, so the key keeps that order.  Each
-    memo value is computed by that function from the counts
-    :func:`path_composition` would give, so every score is bit-identical
-    to scoring the route directly.  A value depends on noise rates and
-    counts only, so graphs of any classes may share ``memo`` at one link
-    fidelity.
+    A value depends on noise rates and counts only, so graphs of any classes
+    may share ``memo`` at one link fidelity.
     """
-    a, b = classes
+    eta_h, eta_l = rates
     flag = flags.__getitem__
 
     def fidelity(route: Route) -> float:
         path = route.path
         # Tier nodes are leaves, so only the ends of a route may be tier nodes.
-        start = path[0] >= num_transport
-        n_b = sum(map(flag, path))
-        n_a = len(path) - start - (path[-1] >= num_transport) - n_b
-        met = ((b, n_b), (a, n_a)) if flags[path[start]] else ((a, n_a), (b, n_b))
-        (first, n_first), (other, n_other) = met
-        key = (first.eta, n_first, other.eta, n_other)
+        n_l = sum(map(flag, path))
+        n_h = len(path) - (path[0] >= num_transport) - (path[-1] >= num_transport) - n_l
+        key = (eta_h, n_h, eta_l, n_l)
         f = memo.get(key)
         if f is None:
-            # A one-class graph pairs its class with itself: drop the zero
-            # count, which would otherwise overwrite the other.
-            counts = {cls: count for cls, count in met if count}
-            f = memo[key] = end_to_end_fidelity(counts, link_fidelity)
+            f = memo[key] = two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
         return f
 
     return fidelity
@@ -428,7 +421,7 @@ def _router(
 ) -> _Router:
     """Node costs, route memo and scorer for a classed graph.
 
-    The graph's two classes, node flags and costs come from
+    The graph's two noise rates, node flags and costs come from
     :func:`_two_classes`, which rejects an unclassed transport node or a
     third class.  The last router is reused while calls pass the same
     ``classes`` tuple (which it keeps alive), frame, mapping and link
@@ -436,16 +429,17 @@ def _router(
     taken to be a pure function of the noise rate.  A new router takes over
     the last one's routes while the frame and the node costs are equal, and
     its fidelity scores, which are keyed on noise rates rather than classes,
-    while the link fidelity is equal.  Every graph whose transport nodes all cost the same, as the unaware
-    mapping's and the all-LQ and all-HQ graphs of a sweep do, routes
-    through the frame's one ``hops`` table: scaling every cost by one
-    factor keeps the order of path costs, so such graphs share their
-    routes whatever the mapping.  A new router may take over the last
-    one's searches while the frame and the mapping are the same and no
-    node's cost rose, as when a sweep upgrades more nodes of one class
-    draw; a search is repaired on its first use (see :func:`_take_search`).
-    Only the last graph's own searches are offered, so the searches of two
-    graphs at most are alive.  Served entries are never taken over.
+    while the link fidelity is equal.  Every graph whose transport nodes
+    all cost the same, as the unaware mapping's and the all-LQ and all-HQ
+    graphs of a sweep do, routes through the frame's one ``hops`` table:
+    scaling every cost by one factor keeps the order of path costs, so
+    such graphs share their routes whatever the mapping.  A new router may
+    take over the last one's searches while the frame and the mapping are
+    the same and no node's cost rose, as when a sweep upgrades more nodes
+    of one class draw; a search is repaired on its first use (see
+    :func:`_take_search`).  Only the last graph's own searches are
+    offered, so the searches of two graphs at most are alive.  Served
+    entries are never taken over.
     """
     global _last
     last = _last
@@ -457,7 +451,7 @@ def _router(
         and last.link_fidelity == link_fidelity
     ):
         return last
-    classes, flags, costs = _two_classes(graph, mapping)
+    rates, flags, costs = _two_classes(graph, mapping)
     routes, hops, scores = {}, {}, {}
     carried, lowered = {}, ()
     if last is not None:
@@ -472,7 +466,7 @@ def _router(
             scores = last.scores
     if len(set(costs) - {0}) == 1:
         routes = hops
-    scorer = _fidelity_scorer(classes, flags, graph.num_transport, link_fidelity, scores)
+    scorer = _fidelity_scorer(rates, flags, graph.num_transport, link_fidelity, scores)
     _last = _Router(
         graph.classes, frame, mapping, link_fidelity, costs, routes, scores, scorer,
         {}, {}, carried, lowered, hops,
@@ -523,8 +517,7 @@ def shortest_path(
 
 
 def path_composition(graph: NetworkGraph, path: Sequence[int]) -> dict[NoiseClass, int]:
-    """Count the noise classes of the transport nodes along a path, in the
-    order the path meets them."""
+    """Count the transport nodes of each noise class along a path."""
     counts: dict[NoiseClass, int] = {}
     for v in path:
         if graph.kinds[v] is not NodeKind.TRANSPORT:

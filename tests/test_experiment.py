@@ -36,7 +36,6 @@ from qrepnet import (
     sweep_eta_l,
     assign_classes,
     build_network,
-    end_to_end_fidelity,
     path_composition,
     sweep_xi,
     two_class_fidelity,
@@ -120,6 +119,24 @@ def test_run_trial_outcome_consistency():
         assert o.fidelity == pytest.approx(
             two_class_fidelity(o.n_h, o.n_l, 0.999, 0.8, 0.975), abs=1e-12
         )
+
+
+def test_every_allocated_fidelity_is_the_two_class_closed_form():
+    """Aware routing under a threshold scores every allocated route with
+    ``two_class_fidelity`` of its high- and low-quality node counts, bit for
+    bit, on mixed graphs and on the all-HQ graph alike."""
+    cfg = replace(SMALL, mapping=AWARE, f_bar=0.3)
+    seen = set()
+    for xi in default_xi_grid(cfg.n):
+        for pairing in range(cfg.num_pair_draws):
+            for draw in range(cfg.num_class_draws):
+                for o in run_trial(cfg, xi, pairing, draw).outcomes:
+                    if o.blocked is None:
+                        seen.add((o.n_h, o.n_l))
+                        assert o.fidelity == two_class_fidelity(
+                            o.n_h, o.n_l, cfg.eta_h, cfg.eta_l, cfg.link_fidelity
+                        )
+    assert any(n_h and n_l for n_h, n_l in seen) and any(not n_l for _, n_l in seen)
 
 
 def test_all_high_quality_at_full_upgrade():
@@ -287,46 +304,37 @@ def test_eta_sweep_shares_randomness():
         assert strong[xi].fidelity.mean >= weak[xi].fidelity.mean - 1e-12
 
 
-def test_memoised_scorer_equals_scoring_the_composition():
-    """The fidelity memo, keyed by (noise rate, node count) of the class a
-    route meets first and of the other class, is exact, not approximate.
-
-    ``end_to_end_fidelity`` multiplies class factors in the order the path
-    meets the classes, so routes that meet a high-quality node first and
-    routes that meet a low-quality node first must both reproduce it bit
-    for bit, on a memo miss and on a hit.  One memo serves every graph:
-    mixed graphs, one-class graphs (xi = 0 and xi = 1), a low-quality
-    rate equal to the high-quality one under its own label, and fresh
-    class objects per graph, as ``sweep_eta_l`` and the two mapping passes
-    make them.
+def test_memoised_scorer_equals_the_two_class_closed_form():
+    """The fidelity memo, keyed by (noise rate, node count) of each class,
+    is exact, not approximate: every score is ``two_class_fidelity`` of the
+    route's high- and low-quality node counts, bit for bit, on a memo miss
+    and on a hit.  One memo serves every graph: mixed graphs, one-class
+    graphs (xi = 0 and xi = 1), a low-quality rate equal to the
+    high-quality one under its own label, and fresh class objects per
+    graph, as ``sweep_eta_l`` and the two mapping passes make them.
     """
     base = build_network(CYLINDER, 5)
     frame, _ = network_frame(base)
     rng = np.random.default_rng(404)
     memo = {}
-    firsts = set()
     for eta_l in (0.8, 0.9, 0.999):
         cfg = ExperimentConfig(topology=CYLINDER, n=5, eta_l=eta_l)
         for xi in (0.0, 0.2, 0.48, 0.76, 1.0):
             hq, lq = cfg.hq_class(), cfg.lq_class()
             classed = assign_classes(base, xi, hq, lq, rng)
-            classes, flags, _ = _two_classes(classed, cfg.weight_mapping())
-            score = _fidelity_scorer(
-                classes, flags, base.num_transport, cfg.link_fidelity, memo
-            )
+            rates, flags, _ = _two_classes(classed, cfg.weight_mapping())
+            score = _fidelity_scorer(rates, flags, base.num_transport, cfg.link_fidelity, memo)
             for _ in range(40):
                 costs = tuple(int(c) for c in rng.integers(1, 9, base.num_transport)) + (0,) * 10
                 source = base.source_id(int(rng.integers(5)))
                 destination = base.destination_id(int(rng.integers(5)))
                 route = cheapest_route(frame, costs, source, destination, 0)
-                want = end_to_end_fidelity(
-                    path_composition(classed, route.path), cfg.link_fidelity
+                counts = path_composition(classed, route.path)
+                want = two_class_fidelity(
+                    counts.get(hq, 0), counts.get(lq, 0), cfg.eta_h, eta_l, cfg.link_fidelity
                 )
                 assert score(route) == want
                 assert score(route) == want
-                firsts.add((eta_l, xi, classed.classes[route.path[1]].label))
-    mixed = {(eta_l, label) for eta_l, xi, label in firsts if 0.0 < xi < 1.0}
-    assert mixed == {(eta_l, label) for eta_l in (0.8, 0.9, 0.999) for label in ("HQ", "LQ")}
 
 
 def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch, in_process):
@@ -458,9 +466,14 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
     assert last.served
     for key, (route, fidelity) in last.served.items():
         assert route == last.routes[key]
-        assert fidelity == (route and end_to_end_fidelity(
-            path_composition(graph, route.path), cfg.link_fidelity
-        ))
+        if route is None:
+            assert fidelity is None
+            continue
+        counts = path_composition(graph, route.path)
+        assert fidelity == two_class_fidelity(
+            counts.get(cfg.hq_class(), 0), counts.get(cfg.lq_class(), 0),
+            cfg.eta_h, cfg.eta_l, cfg.link_fidelity,
+        )
     assert last.searches
     for (destination, used), search in last.searches.items():
         for source in graph.source_ids:

@@ -22,7 +22,6 @@ from qrepnet import (
     allocate_batch,
     assign_classes,
     build_network,
-    end_to_end_fidelity,
     noise_aware_mapping,
     noise_unaware_mapping,
     path_composition,
@@ -320,7 +319,8 @@ def test_allocation_fidelity_matches_composition():
 
 def reference_batch(graph, requests, mapping, threshold, link_fidelity):
     """Serve a batch with no memo at all: one ``shortest_path`` per request on
-    a residual copy of ``graph``, scored from the path's composition."""
+    a residual copy of ``graph``, scored by ``two_class_fidelity`` of the
+    path's HQ and LQ node counts."""
     residual = graph.copy()
     allocations = []
     blocked = 0
@@ -329,7 +329,10 @@ def reference_batch(graph, requests, mapping, threshold, link_fidelity):
         if path is None:
             allocations.append(PathAllocation(r, None, None, BlockReason.NO_PATH))
         else:
-            f = end_to_end_fidelity(path_composition(graph, path), link_fidelity)
+            comp = path_composition(graph, path)
+            f = two_class_fidelity(
+                comp.get(HQ, 0), comp.get(LQ, 0), HQ.eta, LQ.eta, link_fidelity
+            )
             if f >= threshold:
                 for u, v in itertools.pairwise(path):
                     residual.remove_edge(u, v)
