@@ -176,6 +176,10 @@ class _Resolver:
 
 
 def _resolve_xi(res: _Resolver, default: tuple[float, ...] | None) -> tuple[float, ...] | None:
+    """Values or a step: one setting, which the flags give whole over the file."""
+    if res.args.xi is not None or res.args.xi_step is not None:
+        res.config.pop("xi", None)
+        res.config.pop("xi_step", None)
     xi = res.many("xi", float, None)
     step = res.one("xi_step", float, None)
     if xi is not None and step is not None:

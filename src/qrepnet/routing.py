@@ -19,20 +19,16 @@ are summed.
 
 Routing runs on a static frame of the base network (sorted neighbours, each
 paired with its edge's bit), and a residual network is one int, the mask of
-edges already consumed.  The module keeps one bounded memo for the last
-classed graph served: its node costs, its routes on (source, destination,
-residual mask), one resumable reverse search per (destination, residual
-mask) and the (route, fidelity) served per (source, destination, residual
-mask).  A later graph inherits the routes only while the node costs are
-equal, and the fidelity per (noise rate, node count) of each class while
-the link fidelity is equal.
-Graphs whose transport nodes all cost the same share one more route table
-while the frame is the same, as uniform costs route by fewest hops at any
-scale; so the routes of two cost vectors, up to scale, at most are held at
-any time.  A later graph inherits the searches while no node cost rises: a
-search is repaired on its first use on the new graph and then moves into
-the new graph's table, so the searches of two graphs at most are alive.
-Served entries live and die with their graph.
+edges already consumed.  The module keeps one memo, for the last classed
+graph served.  Two tables live while the frame is the same: the fewest-hop
+routes, which every graph whose transport nodes all cost the same shares
+(uniform costs route by fewest hops at any scale), and the fidelity per
+link fidelity and (noise rate, node count) of each class.  The graph's
+other routes, its (route, fidelity) served per (source, destination,
+residual mask) and its resumable reverse searches per (destination,
+residual mask) die with it; only the searches pass to the next graph,
+while the mapping is the same and no node cost rises, repaired on first
+use, so the searches of two graphs at most are alive.
 The module-level :data:`counters` count batches, requests and the work done
 on memo misses.
 """
@@ -115,6 +111,10 @@ class RoutingRequest:
     source: int
     destination: int
     theta: int
+
+    def __post_init__(self) -> None:
+        if self.source == self.destination:
+            raise ValueError("source and destination must differ")
 
 
 class PathAllocation(NamedTuple):
@@ -233,11 +233,12 @@ def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
 
     The base network is the one ``base_network`` gives for the graph's
     topology and width; the graph must be a subgraph of it.  A graph that
-    shares the base network's adjacency is recognised by identity.
+    shares the base network's adjacency is recognised by identity, any
+    other by a scan of the base edges.
     """
     frame = _base_frame(graph.topology, graph.n)
     adjacency = graph.adjacency
-    if adjacency is frame.adjacency or adjacency == frame.adjacency:
+    if adjacency is frame.adjacency:
         return frame, 0
     if len(frame.neighbours) == graph.num_nodes:
         missing = kept = 0
@@ -335,11 +336,11 @@ def _fidelity_scorer(
     memo: dict,
 ) -> Callable[[Route], float]:
     """Score routes by their high- and low-quality node counts alone,
-    through :func:`two_class_fidelity` and a memo keyed by each class's
-    noise rate and count.
+    through :func:`two_class_fidelity` and a memo keyed by the link
+    fidelity and each class's noise rate and count.
 
-    A value depends on noise rates and counts only, so graphs of any classes
-    may share ``memo`` at one link fidelity.
+    A value depends on that key only, so graphs of any classes and link
+    fidelities may share ``memo``.
     """
     eta_h, eta_l = rates
     flag = flags.__getitem__
@@ -349,7 +350,7 @@ def _fidelity_scorer(
         # Tier nodes are leaves, so only the ends of a route may be tier nodes.
         n_l = sum(map(flag, path))
         n_h = len(path) - (path[0] >= num_transport) - (path[-1] >= num_transport) - n_l
-        key = (eta_h, n_h, eta_l, n_l)
+        key = (link_fidelity, eta_h, n_h, eta_l, n_l)
         f = memo.get(key)
         if f is None:
             f = memo[key] = two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
@@ -361,14 +362,15 @@ def _fidelity_scorer(
 class _Router(NamedTuple):
     """What serving a batch on one classed graph needs besides its requests.
 
-    ``scores`` is the score memo of :func:`_fidelity_scorer`, which
-    ``fidelity`` fills.  ``searches`` maps (destination, residual mask) to
-    its :class:`Search`, and ``served`` maps (source, destination, residual
-    mask) to the (route, fidelity) served on this graph.  ``carried`` is
-    the previous graph's ``searches``, which this graph may take over after
-    pushing back the nodes ``lowered``, whose costs fell.  ``hops`` is the
-    frame's route table for transport costs that are all equal, which is
-    ``routes`` on such a graph.
+    ``hops`` and ``scores`` belong to the frame: the route table for
+    transport costs that are all equal, which is ``routes`` on such a
+    graph, and the score memo of :func:`_fidelity_scorer`, which
+    ``fidelity`` fills.  The rest belong to this graph.  ``searches`` maps
+    (destination, residual mask) to its :class:`Search`, and ``served``
+    maps (source, destination, residual mask) to the (route, fidelity)
+    served on it.  ``carried`` is the previous graph's ``searches``, which
+    this graph may take over after pushing back the nodes ``lowered``,
+    whose costs fell.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -426,20 +428,16 @@ def _router(
     third class.  The last router is reused while calls pass the same
     ``classes`` tuple (which it keeps alive), frame, mapping and link
     fidelity, as consecutive batches of one class draw do.  A mapping is
-    taken to be a pure function of the noise rate.  A new router takes over
-    the last one's routes while the frame and the node costs are equal, and
-    its fidelity scores, which are keyed on noise rates rather than classes,
-    while the link fidelity is equal.  Every graph whose transport nodes
-    all cost the same, as the unaware mapping's and the all-LQ and all-HQ
-    graphs of a sweep do, routes through the frame's one ``hops`` table:
-    scaling every cost by one factor keeps the order of path costs, so
-    such graphs share their routes whatever the mapping.  A new router may
-    take over the last one's searches while the frame and the mapping are
-    the same and no node's cost rose, as when a sweep upgrades more nodes
-    of one class draw; a search is repaired on its first use (see
-    :func:`_take_search`).  Only the last graph's own searches are
-    offered, so the searches of two graphs at most are alive.  Served
-    entries are never taken over.
+    taken to be a pure function of the noise rate.  A new router takes
+    state over under two rules.  While the frame is the same, it takes the
+    score memo and the ``hops`` route table, which every graph whose
+    transport nodes all cost the same routes through (as the unaware
+    mapping's and the all-LQ and all-HQ graphs of a sweep do): scaling
+    every cost by one factor keeps the order of path costs.  While the
+    mapping is also the same and no node's cost rose, as when a sweep
+    upgrades more nodes of one class draw, it takes the last graph's
+    searches, each repaired on its first use (see :func:`_take_search`).
+    Every other table belongs to one graph.
     """
     global _last
     last = _last
@@ -452,20 +450,13 @@ def _router(
     ):
         return last
     rates, flags, costs = _two_classes(graph, mapping)
-    routes, hops, scores = {}, {}, {}
-    carried, lowered = {}, ()
-    if last is not None:
-        if last.frame is frame:
-            hops = last.hops
-        if last.frame is frame and last.costs == costs:
-            routes = last.routes
-        if last.frame is frame and last.mapping is mapping and all(map(le, costs, last.costs)):
+    hops, scores, carried, lowered = {}, {}, {}, ()
+    if last is not None and last.frame is frame:
+        hops, scores = last.hops, last.scores
+        if last.mapping is mapping and all(map(le, costs, last.costs)):
             carried = last.searches
             lowered = tuple(v for v, (c, was) in enumerate(zip(costs, last.costs)) if c < was)
-        if last.link_fidelity == link_fidelity:
-            scores = last.scores
-    if len(set(costs) - {0}) == 1:
-        routes = hops
+    routes = hops if len(set(costs) - {0}) == 1 else {}
     scorer = _fidelity_scorer(rates, flags, graph.num_transport, link_fidelity, scores)
     _last = _Router(
         graph.classes, frame, mapping, link_fidelity, costs, routes, scores, scorer,

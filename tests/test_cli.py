@@ -214,6 +214,28 @@ def test_xi_step_builds_a_grid(tmp_path):
         assert f"xi={grid}\n" in (out / "topology_study_manifest.txt").read_text()
 
 
+def test_xi_flags_replace_the_files_xi_setting(tmp_path):
+    """Values and a step give one xi setting: a flag of either kind replaces
+    the file's, and only a source that gives both is a usage error."""
+    out = tmp_path / "o"
+    assert run(["blocking", *FAST, "--out-dir", out]) == 0
+    manifest = out / "blocking_manifest.txt"
+    replay = tmp_path / "replay"
+    with pytest.warns(UserWarning):  # 0.5 is off the native 1/9 grid for n=3
+        assert run(["blocking", "--config", manifest, "--xi-step", "0.5",
+                    "--out-dir", replay]) == 0
+    assert "xi=0.0,0.5,1.0\n" in (replay / "blocking_manifest.txt").read_text()
+    stepped = tmp_path / "stepped.cfg"
+    stepped.write_text("n=3\npair-draws=1\nclass-draws=2\nxi-step=0.5\n")
+    assert run(["blocking", "--config", stepped, "--xi", "1", "--out-dir", replay]) == 0
+    assert "xi=1.0\n" in (replay / "blocking_manifest.txt").read_text()
+    assert run(["blocking", "--config", manifest, "--xi", "0", "--xi-step", "0.5",
+                "--out-dir", replay]) == 2
+    both = tmp_path / "both.cfg"
+    both.write_text("n=3\npair-draws=1\nclass-draws=2\nxi=0,1\nxi-step=0.5\n")
+    assert run(["blocking", "--config", both, "--out-dir", replay]) == 2
+
+
 def test_config_reader_details(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import math
 import os
 import random
@@ -233,6 +234,32 @@ def test_equal_noise_rates_make_xi_irrelevant():
         )
 
 
+def test_aware_mapping_routes_as_unaware_at_equal_noise_rates():
+    """The aware mapping reads a node's noise rate, not its class, and
+    weighs the node ``aware_weight`` when the rate equals ``eta_l``.  At
+    ``eta_h == eta_l`` every transport node then weighs the same, so both
+    mappings route and block alike at every point; at distinct rates they
+    do not."""
+    cfg = ExperimentConfig(
+        topology=CYLINDER, n=4, eta_h=0.95, eta_l=0.95, num_pair_draws=2,
+        num_class_draws=4, seed=3,
+    )
+
+    def rows(config):
+        points = study_blocking(config, (0.3, 0.5))
+        return {
+            mapping: [(p.f_bar, p.xi, p.blocking_probability) for p in points
+                      if p.mapping == mapping]
+            for mapping in MAPPINGS
+        }
+
+    equal = rows(cfg)
+    assert equal[AWARE] == equal[UNAWARE]
+    assert all(blocked > 0.0 for _, _, blocked in equal[AWARE])
+    apart = rows(replace(cfg, eta_l=0.8))
+    assert apart[AWARE] != apart[UNAWARE]
+
+
 def test_sweep_is_reproducible():
     a = sweep_xi(SMALL)
     b = sweep_xi(SMALL)
@@ -305,20 +332,21 @@ def test_eta_sweep_shares_randomness():
 
 
 def test_memoised_scorer_equals_the_two_class_closed_form():
-    """The fidelity memo, keyed by (noise rate, node count) of each class,
-    is exact, not approximate: every score is ``two_class_fidelity`` of the
-    route's high- and low-quality node counts, bit for bit, on a memo miss
-    and on a hit.  One memo serves every graph: mixed graphs, one-class
-    graphs (xi = 0 and xi = 1), a low-quality rate equal to the
-    high-quality one under its own label, and fresh class objects per
-    graph, as ``sweep_eta_l`` and the two mapping passes make them.
+    """The fidelity memo, keyed by the link fidelity and the (noise rate,
+    node count) of each class, is exact, not approximate: every score is
+    ``two_class_fidelity`` of the route's high- and low-quality node
+    counts, bit for bit, on a memo miss and on a hit.  One memo serves
+    every graph: two link fidelities, mixed graphs, one-class graphs
+    (xi = 0 and xi = 1), a low-quality rate equal to the high-quality one
+    under its own label, and fresh class objects per graph, as
+    ``sweep_eta_l`` and the two mapping passes make them.
     """
     base = build_network(CYLINDER, 5)
     frame, _ = network_frame(base)
     rng = np.random.default_rng(404)
     memo = {}
-    for eta_l in (0.8, 0.9, 0.999):
-        cfg = ExperimentConfig(topology=CYLINDER, n=5, eta_l=eta_l)
+    for link_fidelity, eta_l in itertools.product((0.975, 0.99), (0.8, 0.9, 0.999)):
+        cfg = ExperimentConfig(topology=CYLINDER, n=5, eta_l=eta_l, link_fidelity=link_fidelity)
         for xi in (0.0, 0.2, 0.48, 0.76, 1.0):
             hq, lq = cfg.hq_class(), cfg.lq_class()
             classed = assign_classes(base, xi, hq, lq, rng)
@@ -510,7 +538,8 @@ def test_each_destination_and_residual_is_searched_once_per_graph(
 def test_sweep_graphs_share_the_routing_frame_adjacency():
     """Classed graphs of a sweep share the adjacency of their routing frame,
     which ``network_frame`` recognises by identity; an equal graph built by
-    a caller maps to the same frame by comparison."""
+    a caller maps to the same frame, with no edge missing, by a scan of its
+    edges."""
     [(_, _, _, graph, _, _)] = experiment._sweep(SMALL, (0.4,), (0.0,), (0,), (0,))
     frame, used = network_frame(graph)
     assert graph.adjacency is frame.adjacency and used == 0

@@ -147,6 +147,15 @@ def test_shortest_path_rejects_equal_endpoints():
         shortest_path(g, 4, 4, UNIT)
 
 
+def test_allocate_batch_rejects_equal_endpoints():
+    """A request from a node to itself is no request, whether the node is a
+    transport node or a tier node; it is rejected before it is served."""
+    g = all_lq(GRID, 3)
+    for node in (4, 9):
+        with pytest.raises(ValueError, match="source and destination must differ"):
+            allocate_batch(g, [RoutingRequest(node, node, 1)], UNIT, 0.0, 0.975)
+
+
 def test_shortest_path_requires_classes():
     g = build_network(GRID, 2)
     with pytest.raises(ValueError):
