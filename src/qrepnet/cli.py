@@ -5,14 +5,12 @@ plus a flat-text run manifest into the output directory.  All numeric CSV
 fields carry six decimal places and rows are emitted in a fixed order, so a
 repeated run with the same seed and configuration is byte-identical.
 
-Configuration may come from flags, from a ``key=value`` file given with
-``--config`` (flags override the file), or from defaults.  A run manifest is
+Configuration comes from flags, then a ``key=value`` file given with
+``--config``, then (for the seed) the ``QREPNET_SEED`` environment variable,
+then defaults; :func:`_settings` merges the sources.  A run manifest is
 itself a valid config file, which makes any run replayable:
 
     qrepnet topology-study --config results/topology_study_manifest.txt
-
-The root seed falls back to the ``QREPNET_SEED`` environment variable when
-neither flag nor config file provides one.
 
 Each subcommand is one entry of ``_STUDIES``, which declares what sets the
 study apart; one runner resolves, checks, runs and records every study.
@@ -56,7 +54,7 @@ SENSITIVITY_PATH_NODE_COUNTS = (7, 11)
 # Keys a manifest contains beyond plain configuration; ignored on re-read.
 _MANIFEST_ONLY_KEYS = {"command", "version", "started", "finished", "workers", "output"}
 # Every configuration key in manifest order, with the ExperimentConfig field
-# it sets and its type.  ``xi``, ``seed`` and ``out_dir`` resolve on their own.
+# it sets and its type.  ``xi`` and ``out_dir`` resolve on their own.
 _KEYS = {
     "n": ("n", int),
     "xi": ("xi_values", float),
@@ -119,81 +117,64 @@ def read_config(path: str | Path) -> dict[str, list[str]]:
     return values
 
 
-class _Resolver:
-    """Merge flag values, config-file values and defaults, in that order."""
+# Each given key's raw values, as the flags or the config file give them.
+_Settings = dict[str, list[str]]
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.config = read_config(args.config) if args.config else {}
 
-    def _raw(self, key: str) -> list[str] | None:
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag if isinstance(flag, list) else [str(flag)]
-        if key in self.config:
-            return self.config[key]
-        return None
-
-    def one(self, key: str, cast, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        if len(raw) > 1:
-            raise UsageError(f"{key} accepts a single value, got {raw}")
+def _settings(args: argparse.Namespace) -> _Settings:
+    """Every given key's raw values, merged once: the flags replace the config
+    file's values key by key (``xi`` and ``xi_step`` counting as one key),
+    and ``QREPNET_SEED`` gives the seed when neither source does."""
+    settings = read_config(args.config) if args.config else {}
+    unknown = set(settings) - set(_KEYS) - {"xi_step"}
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    flags = {key: value if isinstance(value, list) else [str(value)]
+             for key in (*_KEYS, "xi_step") if (value := getattr(args, key, None)) is not None}
+    if "xi" in flags or "xi_step" in flags:
+        settings.pop("xi", None)
+        settings.pop("xi_step", None)
+    settings.update(flags)
+    env = os.environ.get(ENV_SEED)
+    if "seed" not in settings and env is not None:
         try:
-            return cast(raw[0])
+            int(env)
         except ValueError as exc:
-            raise UsageError(f"invalid value for {key}: {raw[0]!r}") from exc
-
-    def many(self, key: str, cast, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return tuple(cast(v) for v in raw)
-        except ValueError as exc:
-            raise UsageError(f"invalid value for {key}: {raw}") from exc
-
-    def reject(self, key: str, why: str) -> None:
-        if getattr(self.args, key, None) is not None or key in self.config:
-            raise UsageError(f"{key} is not accepted here: {why}")
-
-    def seed(self) -> int | None:
-        """The given seed, else ``QREPNET_SEED``, else None (the config default)."""
-        value = self.one("seed", int, None)
-        env = os.environ.get(ENV_SEED)
-        if value is None and env is not None:
-            try:
-                return int(env)
-            except ValueError as exc:
-                raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-        return value
-
-    def finish(self) -> None:
-        unknown = set(self.config) - set(_KEYS) - {"xi_step"}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+        settings["seed"] = [env]
+    return settings
 
 
-def _resolve_xi(res: _Resolver, default: tuple[float, ...] | None) -> tuple[float, ...] | None:
-    """Values or a step: one setting, which the flags give whole over the file."""
-    if res.args.xi is not None or res.args.xi_step is not None:
-        res.config.pop("xi", None)
-        res.config.pop("xi_step", None)
-    xi = res.many("xi", float, None)
-    step = res.one("xi_step", float, None)
-    if xi is not None and step is not None:
-        raise UsageError("give either xi values or an xi step, not both")
+def _value(settings: _Settings, key: str | None, cast, default=None, many=False):
+    """``key``'s value cast, a tuple of them if ``many``, or ``default`` if unset."""
+    raw = settings.get(key)
+    if raw is None:
+        return default
+    if len(raw) > 1 and not many:
+        raise UsageError(f"{key} accepts a single value, got {raw}")
+    try:
+        values = tuple(map(cast, raw))
+    except ValueError as exc:
+        raise UsageError(f"invalid value for {key}: {raw if many else raw[0]!r}") from exc
+    return values if many else values[0]
+
+
+def _resolve_xi(
+    settings: _Settings, default: tuple[float, ...] | None
+) -> tuple[float, ...] | None:
+    """The xi values, given or stepped, else ``default``."""
+    xi = _value(settings, "xi", float, many=True)
+    step = _value(settings, "xi_step", float)
+    if step is None:
+        return default if xi is None else xi
     if xi is not None:
-        return xi
-    if step is not None:
-        if not 0.0 < step <= 1.0:
-            raise UsageError(f"xi step must lie in (0, 1], got {step}")
-        # Every multiple of the step up to 1, then 1 itself if the last falls short.
-        values = [round(i * step, 12) for i in range(int(1.0 / step) + 2)]
-        values = [v for v in values if v <= 1.0]
-        return tuple(values if values[-1] == 1.0 else [*values, 1.0])
-    return default
+        raise UsageError("give either xi values or an xi step, not both")
+    if not 0.0 < step <= 1.0:
+        raise UsageError(f"xi step must lie in (0, 1], got {step}")
+    # Every multiple of the step up to 1, then 1 itself if the last falls short.
+    values = [round(i * step, 12) for i in range(int(1.0 / step) + 2)]
+    values = [v for v in values if v <= 1.0]
+    return tuple(values if values[-1] == 1.0 else [*values, 1.0])
 
 
 def _common_flags(parser: argparse.ArgumentParser, topology_choice: bool) -> None:
@@ -371,19 +352,17 @@ def _run(command: str, args: argparse.Namespace) -> int:
     """Resolve and check the whole configuration of a study, every value of
     its repeated key included, then run it and write its CSVs and manifest."""
     study = _STUDIES[command]
-    res = _Resolver(args)
-    if study.owns:
-        res.reject(study.owns, f"this study always runs {_BOTH[study.owns]}")
-    values = res.many(study.repeats, float, study.defaults) if study.repeats else ()
-    given = {
-        field: res.one(key, cast, None)
-        for key, (field, cast) in _KEYS.items()
-        if key not in ("xi", "seed", "out_dir", study.owns, study.repeats)
-    }
+    settings = _settings(args)
+    if study.owns in settings:
+        raise UsageError(f"{study.owns} is not accepted here: "
+                         f"this study always runs {_BOTH[study.owns]}")
+    values = _value(settings, study.repeats, float, study.defaults, many=True)
+    given = {field: _value(settings, key, cast) for key, (field, cast) in _KEYS.items()
+             if key not in ("xi", "out_dir", study.owns, study.repeats)}
     if study.zero_f_bar and given["f_bar"]:
         raise UsageError("this study requires a zero fidelity threshold")
-    given.update(xi_values=_resolve_xi(res, study.xi_grid), seed=res.seed())
-    out_dir = Path(res.one("out_dir", str, DEFAULT_OUT_DIR))
+    given["xi_values"] = _resolve_xi(settings, study.xi_grid)
+    out_dir = Path(_value(settings, "out_dir", str, DEFAULT_OUT_DIR))
     recorded = str(out_dir)  # as the manifest writes it, on one line
     if recorded.splitlines() != [recorded] or _uncommented(recorded).strip() != recorded:
         raise UsageError(f"out-dir {recorded!r} would not replay from the run manifest")
@@ -395,7 +374,6 @@ def _run(command: str, args: argparse.Namespace) -> int:
             replace(cfg, **{study.repeats: value})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    res.finish()
     started = _now()
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -276,8 +276,9 @@ _ENGINE_CODE = allocate_batch.__code__
 
 
 def _workers() -> int:
-    """The CPUs this process may run on, the most workers a study uses."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    """The CPUs this process may run on, the most workers a study uses.
+    Called on Linux only, where workers are forked."""
+    return len(os.sched_getaffinity(0))
 
 
 def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:

@@ -492,6 +492,12 @@ def _take_search(router: _Router, destination: int, used: int) -> Search:
     return search
 
 
+def _check_endpoints(frame: Frame, source: int, destination: int) -> None:
+    for v in (source, destination):
+        if not 0 <= v < len(frame.neighbours):
+            raise ValueError(f"node {v} is not in the network")
+
+
 def shortest_path(
     graph: NetworkGraph,
     source: int,
@@ -502,6 +508,7 @@ def shortest_path(
     if source == destination:
         raise ValueError("source and destination must differ")
     frame, used = network_frame(graph)
+    _check_endpoints(frame, source, destination)
     _, _, costs = _two_classes(graph, mapping)
     route = cheapest_route(frame, costs, source, destination, used)
     return None if route is None else route.path
@@ -537,6 +544,7 @@ def allocate_batch(
     all routes toward one destination on one residual network share one
     resumed reverse search, which a graph whose node costs fell from the
     previous graph's carries over.  Each call adds to :data:`counters`.
+    An endpoint that is no node of ``graph`` is a ``ValueError``.
     """
     ordered = sorted(requests, key=_theta)
     if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
@@ -557,6 +565,8 @@ def allocate_batch(
         if hit is None:
             route = routes.get(key, _UNROUTED)
             if route is _UNROUTED:
+                # Both tables store a key only once it passed this check.
+                _check_endpoints(frame, source, destination)
                 counters.walks += 1
                 search = searches.get((destination, used))
                 if search is None:

@@ -139,6 +139,26 @@ def test_env_seed_with_precedence(tmp_path, monkeypatch):
     assert run(["topology-study", *FAST, "--out-dir", tmp_path / "o3"]) == 2
 
 
+def test_file_seed_beats_env_seed(tmp_path, monkeypatch):
+    """``QREPNET_SEED`` is read only when neither flag nor file gives a seed."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\nn=3\npair-draws=1\nclass-draws=2\nxi=0,1\n")
+    for env in ("31", "not-a-number"):
+        monkeypatch.setenv("QREPNET_SEED", env)
+        out = tmp_path / env
+        assert run(["topology-study", "--config", cfg, "--out-dir", out]) == 0
+        assert "seed=5\n" in (out / "topology_study_manifest.txt").read_text()
+
+
+def test_flags_replace_a_files_repeated_key_whole(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("f-bar=0.6,0.9\n")
+    out = tmp_path / "o"
+    assert run(["blocking", *FAST, "--config", cfg, "--f-bar", "0.7", "--out-dir", out]) == 0
+    assert "f-bar=0.7\n" in (out / "blocking_manifest.txt").read_text()
+    assert {row[1] for row in read_rows(out / "blocking_vs_xi.csv")[1:]} == {"0.700000"}
+
+
 def test_eta_l_domain_gate(tmp_path):
     ok = run(["lq-sensitivity", *FAST, "--eta-l", "0.6", "--out-dir", tmp_path / "a"])
     assert ok == 0

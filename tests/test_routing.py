@@ -156,6 +156,19 @@ def test_allocate_batch_rejects_equal_endpoints():
             allocate_batch(g, [RoutingRequest(node, node, 1)], UNIT, 0.0, 0.975)
 
 
+@pytest.mark.parametrize("source, destination, node", [(-1, 4, -1), (4, 99, 99)])
+def test_endpoints_outside_the_network_are_rejected(source, destination, node):
+    """An endpoint id must name a node of the graph: a negative id must not
+    index from the end of the node list, and a large one must not fail inside
+    the search."""
+    g = all_lq(GRID, 3)
+    message = f"node {node} is not in the network"
+    with pytest.raises(ValueError, match=message):
+        shortest_path(g, source, destination, UNIT)
+    with pytest.raises(ValueError, match=message):
+        allocate_batch(g, [RoutingRequest(source, destination, 1)], UNIT, 0.0, 0.975)
+
+
 def test_shortest_path_requires_classes():
     g = build_network(GRID, 2)
     with pytest.raises(ValueError):
