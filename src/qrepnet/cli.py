@@ -180,7 +180,7 @@ def _resolve_xi(
 def _common_flags(parser: argparse.ArgumentParser, topology_choice: bool) -> None:
     if topology_choice:
         parser.add_argument("--topology", choices=TOPOLOGIES)
-    parser.add_argument("--n", type=int, help="transport core width")
+    parser.add_argument("--n", help="transport core width")
     parser.add_argument("--xi", action="append", metavar="FRACTION",
                         help="upgrade fraction; repeatable")
     parser.add_argument("--xi-step", dest="xi_step", metavar="STEP",

@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, product
 from math import floor, isfinite, lcm
+from numbers import Integral
 from operator import add
 
 import numpy as np
@@ -465,16 +466,14 @@ class FiveNumberSummary:
     num_outliers: int
 
     @classmethod
-    def from_samples(cls, values: Sequence[float]) -> "FiveNumberSummary":
-        return cls.from_counts(Counter(map(float, values)))
-
-    @classmethod
     def from_counts(cls, counts: Mapping[float, int]) -> "FiveNumberSummary":
         """Summarise the sample in which each value occurs ``counts[value]`` times."""
         if not counts or not all(map(isfinite, counts)):
             raise ValueError("can only summarise a non-empty sample of finite values")
+        if not all(isinstance(k, Integral) and k > 0 for k in counts.values()):
+            raise ValueError(f"counts must be positive whole numbers, got {counts!r}")
         values = sorted(counts)
-        cumulative = list(accumulate(map(counts.__getitem__, values)))
+        cumulative = list(accumulate(int(counts[v]) for v in values))
         q1, median, q3 = (_quantile(values, cumulative, q) for q in (0.25, 0.5, 0.75))
         iqr = q3 - q1
         inside = [v for v in values if q1 - 1.5 * iqr <= v <= q3 + 1.5 * iqr]
@@ -486,7 +485,7 @@ class FiveNumberSummary:
             maximum=values[-1],
             lower_whisker=inside[0],
             upper_whisker=inside[-1],
-            num_outliers=cumulative[-1] - sum(map(counts.__getitem__, inside)),
+            num_outliers=cumulative[-1] - sum(int(counts[v]) for v in inside),
         )
 
 
@@ -507,8 +506,8 @@ class SampleStats:
         The mean is exact, rounded once: over the values' common binary
         denominator they sum as integers, in any order of counting."""
         summary = FiveNumberSummary.from_counts(counts)
-        count = sum(counts.values())
-        ratios = [(value.as_integer_ratio(), k) for value, k in counts.items()]
+        ratios = [(value.as_integer_ratio(), int(k)) for value, k in counts.items()]
+        count = sum(k for _, k in ratios)
         scale = lcm(*(q for (_, q), _ in ratios))
         total = sum(p * (scale // q) * k for (p, q), k in ratios)
         return cls(count=count, mean=total / (scale * count), summary=summary)

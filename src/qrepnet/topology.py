@@ -68,35 +68,11 @@ class NetworkGraph:
     def num_transport(self) -> int:
         return self.n * self.n
 
-    @property
-    def transport_ids(self) -> range:
-        return range(self.num_transport)
-
-    @property
-    def source_ids(self) -> range:
-        return range(self.num_transport, self.num_transport + self.n)
-
-    @property
-    def destination_ids(self) -> range:
-        return range(self.num_transport + self.n, self.num_transport + 2 * self.n)
-
-    def core_id(self, row: int, col: int) -> int:
-        return row * self.n + col
-
     def source_id(self, row: int) -> int:
         return self.num_transport + row
 
     def destination_id(self, row: int) -> int:
         return self.num_transport + self.n + row
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[v]))
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as ``(u, v)`` with ``u < v``, sorted."""
@@ -117,12 +93,6 @@ class NetworkGraph:
             classes=self.classes,
             adjacency={v: set(nbrs) for v, nbrs in self.adjacency.items()},
         )
-
-    def remove_edge(self, u: int, v: int) -> None:
-        if not self.has_edge(u, v):
-            raise KeyError(f"no edge between {u} and {v}")
-        self.adjacency[u].discard(v)
-        self.adjacency[v].discard(u)
 
     def with_classes(self, assignment: Mapping[int, NoiseClass]) -> "NetworkGraph":
         """Return a copy with the given node -> class mapping applied."""

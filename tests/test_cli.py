@@ -207,6 +207,19 @@ def test_usage_errors_exit_2(tmp_path):
         assert run([command, "--config", empty, "--out-dir", tmp_path / "o"]) == 2
 
 
+def test_bad_core_width_fails_alike_from_flag_and_file(tmp_path, capsys):
+    """``--n`` is cast where every other key is, so a width that is not a
+    whole number fails with one message, from a flag or a config file, and
+    no output is written."""
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n=2.5\n")
+    for source in (["--n", "2.5"], ["--config", cfg]):
+        out = tmp_path / "never"
+        assert run(["blocking", *source, "--pair-draws", "1", "--out-dir", out]) == 2
+        assert "invalid value for n: '2.5'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unrecognized_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["topology-study", "--topology", "grid"])

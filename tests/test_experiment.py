@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -185,7 +186,7 @@ def test_sweep_matches_trials_sample_for_sample():
         assert xi_summary.num_blocked == blocked
         assert xi_summary.num_requests == SMALL.num_pair_draws * SMALL.num_class_draws * 5
         assert xi_summary.fidelity.count == len(samples)
-        got, want = xi_summary.fidelity.summary, FiveNumberSummary.from_samples(samples)
+        got, want = xi_summary.fidelity.summary, FiveNumberSummary.from_counts(Counter(samples))
         assert (got.minimum, got.q1, got.median, got.q3, got.maximum) == (
             want.minimum, want.q1, want.median, want.q3, want.maximum,
         )
@@ -504,7 +505,7 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
         )
     assert last.searches
     for (destination, used), search in last.searches.items():
-        for source in graph.source_ids:
+        for source in map(graph.source_id, range(graph.n)):
             assert cheapest_route(
                 last.frame, last.costs, source, destination, used, search
             ) == cheapest_route(last.frame, last.costs, source, destination, used)
@@ -555,12 +556,22 @@ def test_stats_helpers():
     assert s.summary.upper_whisker == 4.0
     assert s.summary.num_outliers == 1
     with pytest.raises(ValueError):
-        FiveNumberSummary.from_samples([])
+        FiveNumberSummary.from_counts(Counter())
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             SampleStats.from_samples([0.5, bad, 0.7])
         with pytest.raises(ValueError, match="finite"):
             FiveNumberSummary.from_counts({0.5: 2, bad: 1})
+    # Each value must occur a positive whole number of times: a negative
+    # count gave a mean outside the sample, a zero one a maximum that never
+    # occurs or an empty sample, and a fractional one a fractional count.
+    for counts in ({0.5: 2, 0.7: -1}, {0.5: 2, 0.7: 0}, {0.5: 0}, {0.5: 1.5}):
+        for summarise in (FiveNumberSummary.from_counts, SampleStats.from_counts):
+            with pytest.raises(ValueError, match="counts must be"):
+                summarise(counts)
+    numpy_counts = SampleStats.from_counts({0.5: np.int64(2), 0.7: 1})
+    assert numpy_counts == SampleStats.from_counts({0.5: 2, 0.7: 1})
+    assert type(numpy_counts.count) is int
 
 
 def numpy_five_numbers(values):
@@ -583,7 +594,7 @@ def numpy_five_numbers(values):
 def test_counted_stats_match_numpy(values):
     """Stats built from value counts reproduce ``np.quantile`` bit for bit,
     and their mean is the exact mean rounded once, in any sample order."""
-    assert FiveNumberSummary.from_samples(values) == numpy_five_numbers(values)
+    assert FiveNumberSummary.from_counts(Counter(values)) == numpy_five_numbers(values)
     stats = SampleStats.from_samples(values)
     assert stats.count == len(values)
     assert stats.mean == float(sum(map(Fraction, values)) / len(values))
@@ -632,6 +643,29 @@ def test_routing_counters_see_carried_searches(monkeypatch):
     assert counted.searches > 0 and counted.carried > 0
     # Each search taken, fresh or carried, serves a route computed at once.
     assert counted.walks >= counted.searches + counted.carried
+
+
+def test_blocking_work_counts_are_pinned(monkeypatch):
+    """The routing work of a small default-grid blocking study, pinned.
+
+    These counts move only when the engine or the router does different
+    work, never with the machine's speed, so a change that moves them must
+    update the pin and say why.  The study is small enough to fold in
+    process on any machine, so one memo serves all of it.
+    """
+    cfg = ExperimentConfig(n=5, num_pair_draws=2, num_class_draws=3)
+    # 2 mappings x 3 class draws x 26 xi x 2 pairings x 5 requests at one
+    # threshold: 1,560, below the fork floor.
+    assert len(cfg.resolved_xi()) == 26
+    assert experiment._pool_workers(2, cfg, 26) == 1
+    monkeypatch.setattr(routing, "counters", routing.Counters())
+    monkeypatch.setattr(routing, "_last", None)
+    study_blocking(cfg)
+    assert routing.counters == routing.Counters(
+        batches=936, requests=4680, no_path=170, below_threshold=3736,
+        searches=195, carried=591, walks=985,
+    )
+    assert len(routing._last.scores) == 57
 
 
 def test_sweep_memory_is_flat_in_class_draws(in_process):

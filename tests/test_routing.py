@@ -40,7 +40,7 @@ UNIT = noise_unaware_mapping()
 
 def all_lq(topology, n):
     g = build_network(topology, n)
-    return g.with_classes({v: LQ for v in g.transport_ids})
+    return g.with_classes({v: LQ for v in range(g.num_transport)})
 
 
 def node_weight(graph, v, mapping):
@@ -90,7 +90,7 @@ def test_lexicographic_tie_break_explicit():
 
 def test_noise_aware_routing_detours_around_single_bad_node():
     g = build_network(GRID, 3)
-    g = g.with_classes({v: (LQ if v == 1 else HQ) for v in g.transport_ids})
+    g = g.with_classes({v: (LQ if v == 1 else HQ) for v in range(g.num_transport)})
     aware = noise_aware_mapping(LQ.eta)
     direct = shortest_path(g, g.source_id(0), g.destination_id(0), UNIT)
     detour = shortest_path(g, g.source_id(0), g.destination_id(0), aware)
@@ -106,7 +106,8 @@ def test_shortest_path_matches_brute_force_on_random_residuals():
         g = assign_classes(base, float(rng.integers(0, 10)) / 9, HQ, LQ, rng)
         edges = list(g.edges())
         for u, v in (edges[i] for i in rng.choice(len(edges), size=6, replace=False)):
-            g.remove_edge(u, v)
+            g.adjacency[u].discard(v)
+            g.adjacency[v].discard(u)
         for mapping in (UNIT, noise_aware_mapping(LQ.eta), noise_aware_mapping(LQ.eta, 0.1)):
             for row in range(3):
                 got = shortest_path(g, g.source_id(row), g.destination_id(row), mapping)
@@ -130,10 +131,10 @@ def test_non_integer_weights_break_ties_exactly():
     for seed in range(100):
         rng = random.Random(seed)
         g = base.with_classes(
-            {v: (HQ if rng.random() < 0.5 else LQ) for v in base.transport_ids}
+            {v: (HQ if rng.random() < 0.5 else LQ) for v in range(base.num_transport)}
         )
-        for source in g.source_ids:
-            for destination in g.destination_ids:
+        for source in map(g.source_id, range(g.n)):
+            for destination in map(g.destination_id, range(g.n)):
                 got = shortest_path(g, source, destination, aware)
                 assert got == brute_force_best(g, source, destination, aware)[1]
                 if seed == 9 and (source, destination) == (10, 14):
@@ -357,7 +358,8 @@ def reference_batch(graph, requests, mapping, threshold, link_fidelity):
             )
             if f >= threshold:
                 for u, v in itertools.pairwise(path):
-                    residual.remove_edge(u, v)
+                    residual.adjacency[u].discard(v)
+                    residual.adjacency[v].discard(u)
                 allocations.append(PathAllocation(r, path, f, None))
                 continue
             allocations.append(PathAllocation(r, None, None, BlockReason.BELOW_THRESHOLD))
@@ -399,7 +401,8 @@ def test_routing_memo_is_keyed_on_the_input_edge_set():
     full, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975)
     assert full[0].path == (9, 0, 1, 2, 12)
     cut = g.copy()  # same classes tuple, so the same memo serves it
-    cut.remove_edge(0, 1)
+    cut.adjacency[0].discard(1)
+    cut.adjacency[1].discard(0)
     memoised = allocate_batch(cut, reqs, UNIT, 0.0, 0.975)
     assert memoised == reference_batch(cut, reqs, UNIT, 0.0, 0.975)
     assert memoised[0][0].path == (9, 0, 3, 4, 1, 2, 12)
@@ -430,7 +433,7 @@ def test_uniform_cost_graphs_share_one_route_table():
     and every call gives the results of memo-free routing."""
     rng = np.random.default_rng(12)
     lq = all_lq(CYLINDER, 4)
-    hq = lq.with_classes({v: HQ for v in lq.transport_ids})
+    hq = lq.with_classes({v: HQ for v in range(lq.num_transport)})
     mixed = assign_classes(lq, 0.5, HQ, LQ, rng)
     pairs = [(lq.source_id(r), lq.destination_id(3 - r)) for r in range(4)]
     reqs = shuffle_requests(pairs, np.random.default_rng(5))
@@ -468,7 +471,7 @@ def residual_networks(draw):
     """
     base = build_network(draw(st.sampled_from((GRID, CYLINDER))), draw(st.sampled_from((3, 4))))
     hq = draw(st.lists(st.booleans(), min_size=base.num_transport, max_size=base.num_transport))
-    classed = base.with_classes({v: HQ if h else LQ for v, h in zip(base.transport_ids, hq)})
+    classed = base.with_classes({v: HQ if h else LQ for v, h in enumerate(hq)})
     edges = list(classed.edges())
     cut_sets = st.sets(
         st.sampled_from(edges),
@@ -479,7 +482,8 @@ def residual_networks(draw):
     for cut in draw(st.lists(cut_sets, min_size=1, max_size=3)):
         residual = classed.copy()
         for u, v in cut:
-            residual.remove_edge(u, v)
+            residual.adjacency[u].discard(v)
+            residual.adjacency[v].discard(u)
         residuals.append(residual)
     return residuals
 
@@ -495,13 +499,12 @@ def test_shared_searches_match_brute_force(residuals, mapping, data):
     toward a (destination, residual) resumes the search earlier ones left.
     """
     graph = residuals[0]
-    destinations = data.draw(
-        st.sets(st.sampled_from(graph.destination_ids), min_size=1, max_size=2)
-    )
+    destination_ids = [graph.destination_id(r) for r in range(graph.n)]
+    destinations = data.draw(st.sets(st.sampled_from(destination_ids), min_size=1, max_size=2))
     queries = [
         (residual, source, destination)
         for residual in range(len(residuals))
-        for source in graph.source_ids
+        for source in map(graph.source_id, range(graph.n))
         for destination in destinations
     ]
     routing._last = None
@@ -533,13 +536,14 @@ def test_repaired_searches_match_brute_force(residuals, mapping, data):
     graph = residuals[0]
     weight = {cls: mapping(cls.eta) for cls in (HQ, LQ)}
     cheap = min((HQ, LQ), key=weight.__getitem__)
-    switchable = [v for v in graph.transport_ids if graph.classes[v] is not cheap]
+    switchable = [v for v in range(graph.num_transport) if graph.classes[v] is not cheap]
     assume(switchable)
     switched = data.draw(st.sets(st.sampled_from(switchable), min_size=1))
     classes = tuple(cheap if v in switched else cls for v, cls in enumerate(graph.classes))
     lowered = [replace(g, classes=classes) for g in residuals]
-    destination = data.draw(st.sampled_from(graph.destination_ids))
-    queries = [(i, source) for i in range(len(residuals)) for source in graph.source_ids]
+    destination = data.draw(st.sampled_from([graph.destination_id(r) for r in range(graph.n)]))
+    sources = [graph.source_id(r) for r in range(graph.n)]
+    queries = [(i, source) for i in range(len(residuals)) for source in sources]
     costs_move = weight[HQ] != weight[LQ]
     routing._last = None
     for phase, copies in enumerate((residuals, lowered, residuals)):

@@ -58,64 +58,50 @@ def test_cylinder2_wrap_collapses_onto_lattice_edge():
 
 def test_node_id_layout():
     g = build_network(GRID, 5)
-    assert list(g.transport_ids) == list(range(25))
-    assert list(g.source_ids) == list(range(25, 30))
-    assert list(g.destination_ids) == list(range(30, 35))
-    assert g.core_id(0, 0) == 0
-    assert g.core_id(2, 3) == 13
-    assert g.core_id(4, 4) == 24
-    assert g.source_id(2) == 27
-    assert g.destination_id(2) == 32
-    assert [g.kinds[v] for v in (0, 24)] == [NodeKind.TRANSPORT] * 2
-    assert g.kinds[27] is NodeKind.SOURCE
-    assert g.kinds[32] is NodeKind.DESTINATION
+    assert [g.source_id(r) for r in range(5)] == list(range(25, 30))
+    assert [g.destination_id(r) for r in range(5)] == list(range(30, 35))
+    kinds = [NodeKind.TRANSPORT] * 25 + [NodeKind.SOURCE] * 5 + [NodeKind.DESTINATION] * 5
+    assert list(g.kinds) == kinds
 
 
 def test_tier_attachment_is_row_aligned():
     g = build_network(GRID, 5)
     for row in range(5):
-        assert g.neighbors(g.source_id(row)) == (g.core_id(row, 0),)
-        assert g.neighbors(g.destination_id(row)) == (g.core_id(row, 4),)
+        assert g.adjacency[g.source_id(row)] == {row * 5}
+        assert g.adjacency[g.destination_id(row)] == {row * 5 + 4}
 
 
 def test_core_is_four_neighbor_lattice():
     g = build_network(GRID, 4)
-    # Interior node: all four lattice neighbors, no tier.
-    assert g.neighbors(g.core_id(1, 1)) == (
-        g.core_id(0, 1),
-        g.core_id(1, 0),
-        g.core_id(1, 2),
-        g.core_id(2, 1),
-    )
+    # Node (row, col) is row * 4 + col.  Interior node (1, 1): all four
+    # lattice neighbors, no tier.
+    assert sorted(g.adjacency[5]) == [1, 4, 6, 9]
     # Top-left corner: right, down and its source.
-    assert set(g.neighbors(g.core_id(0, 0))) == {
-        g.core_id(0, 1),
-        g.core_id(1, 0),
-        g.source_id(0),
-    }
-    assert not g.has_edge(g.core_id(0, 0), g.core_id(3, 0))
+    assert g.adjacency[0] == {1, 4, g.source_id(0)}
+    # No wrap from the top row to the bottom one.
+    assert 12 not in g.adjacency[0]
 
 
 def test_cylinder_adds_one_wrap_edge_per_column():
     grid = build_network(GRID, 5)
     cyl = build_network(CYLINDER, 5)
     extra = set(cyl.edges()) - set(grid.edges())
-    assert extra == {(cyl.core_id(0, c), cyl.core_id(4, c)) for c in range(5)}
+    assert extra == {(c, 4 * 5 + c) for c in range(5)}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_cylinder_vertical_ring_distance(n):
     cyl = build_network(CYLINDER, n)
     for col in range(n):
-        assert bfs_dist(cyl, cyl.core_id(0, col), cyl.core_id(n - 1, col)) == 1
+        assert bfs_dist(cyl, col, (n - 1) * n + col) == 1
         for row in range(n):
-            d = bfs_dist(cyl, cyl.core_id(0, col), cyl.core_id(row, col))
+            d = bfs_dist(cyl, col, row * n + col)
             assert d <= n // 2
 
 
 def test_degree_and_edge_iteration_consistency():
     g = build_network(CYLINDER, 5)
-    assert sum(g.degree(v) for v in range(g.num_nodes)) == 2 * g.num_edges
+    assert sum(len(g.adjacency[v]) for v in range(g.num_nodes)) == 2 * g.num_edges
     edges = list(g.edges())
     assert edges == sorted(edges)
     assert all(u < v for u, v in edges)
@@ -132,16 +118,16 @@ def test_assign_classes_counts():
     g = build_network(GRID, 5)
     for xi, expected in [(0.0, 0), (0.2, 5), (0.6, 15), (1.0, 25)]:
         classed = assign_classes(g, xi, HQ, LQ, np.random.default_rng(0))
-        hq_nodes = [v for v in classed.transport_ids if classed.classes[v] == HQ]
+        hq_nodes = [v for v in range(classed.num_transport) if classed.classes[v] == HQ]
         assert len(hq_nodes) == expected
-        lq_nodes = [v for v in classed.transport_ids if classed.classes[v] == LQ]
+        lq_nodes = [v for v in range(classed.num_transport) if classed.classes[v] == LQ]
         assert len(hq_nodes) + len(lq_nodes) == 25
 
 
 def test_assign_classes_never_touches_tiers():
     g = build_network(CYLINDER, 5)
     classed = assign_classes(g, 0.48, HQ, LQ, np.random.default_rng(3))
-    for v in list(g.source_ids) + list(g.destination_ids):
+    for v in range(g.num_transport, g.num_nodes):
         assert classed.classes[v] is None
 
 
@@ -160,7 +146,7 @@ def test_upgraded_sets_are_nested_in_xi():
         sets = []
         for xi in (0.2, 0.4, 0.6, 0.8):
             classed = assign_classes(g, xi, HQ, LQ, np.random.default_rng(seed))
-            sets.append({v for v in classed.transport_ids if classed.classes[v] == HQ})
+            sets.append({v for v in range(classed.num_transport) if classed.classes[v] == HQ})
         for small, big in zip(sets, sets[1:]):
             assert small <= big
 
@@ -181,11 +167,10 @@ def test_with_classes_rejects_tier_nodes():
 def test_copy_isolates_adjacency():
     g = build_network(GRID, 3)
     h = g.copy()
-    h.remove_edge(0, 1)
-    assert g.has_edge(0, 1)
-    assert not h.has_edge(0, 1)
-    with pytest.raises(KeyError):
-        h.remove_edge(0, 1)
+    h.adjacency[0].discard(1)
+    h.adjacency[1].discard(0)
+    assert 1 in g.adjacency[0] and 0 in g.adjacency[1]
+    assert h.num_edges == g.num_edges - 1
 
 
 def test_edge_list_round_trip():
@@ -204,7 +189,7 @@ def test_edge_list_round_trip():
     assert kinds[0] == "transport"
     assert kinds[g.source_id(0)] == "source"
     labels = {int(p[0]): p[2] for p in node_lines if len(p) > 2}
-    assert set(labels) == set(g.transport_ids)
+    assert set(labels) == set(range(g.num_transport))
     assert sorted(labels.values()).count("HQ") == 8
     parsed_edges = {(int(u), int(v)) for u, v in edge_lines}
     assert parsed_edges == set(g.edges())
