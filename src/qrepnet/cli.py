@@ -43,7 +43,7 @@ from .experiment import (
     sweep_eta_l,
     sweep_xi,
 )
-from .topology import CYLINDER, GRID, TOPOLOGIES
+from .topology import CYLINDER, GRID, TOPOLOGIES, base_network
 
 __all__ = ["main"]
 
@@ -374,6 +374,12 @@ def _run(command: str, args: argparse.Namespace) -> int:
             replace(cfg, **{study.repeats: value})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    try:
+        # The study shares this cached network; building it first turns an
+        # unaffordable n into one error line before any output is written.
+        base_network(cfg.topology, cfg.n)
+    except MemoryError:
+        raise MemoryError(f"out of memory building the n={cfg.n} network") from None
     started = _now()
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -414,8 +420,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args.command, args)
-    except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
 
 

@@ -15,7 +15,9 @@ resolve to the path whose node id sequence is lexicographically smallest,
 which pins down one deterministic route per (residual graph, request)
 pair.  Costs are compared exactly: the weights are scaled to integers
 first, so equal-cost paths tie whatever the order in which their weights
-are summed.
+are summed.  Being integers, they also index the queue of the reverse
+search that finds a route: one bucket of nodes per distinct pending
+label, not one entry per node (see :class:`Search`).
 
 Routing runs on a static frame of the base network (sorted neighbours, each
 paired with its edge's bit), and a residual network is one int, the mask of
@@ -253,21 +255,27 @@ def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
 
 
 class Search(NamedTuple):
-    """A resumable reverse Dijkstra toward one destination on one residual network.
+    """A resumable reverse search toward one destination on one residual network.
 
-    ``togo`` holds each node's cost to go found so far, and ``heap`` the
-    ``(cost, node)`` entries not yet popped.  A label is final once no
-    entry is below it.
+    It is Dijkstra's search with one bucket of nodes per integer label, after
+    Dial's bucket queue (R. B. Dial, "Algorithm 360", CACM 12(11), 1969):
+    ``togo`` holds each node's cost to go found so far, ``labels`` is a heap
+    of the distinct labels still pending and ``buckets`` maps each of them
+    to the nodes given it, but for the tier nodes that can lower no label
+    (see :func:`cheapest_route`).  A node in a bucket whose label it no
+    longer has was lowered since, and is skipped.  A label is final once no
+    pending label is below it.
     """
 
     togo: list[float]
-    heap: list[tuple[int, int]]
+    labels: list[int]
+    buckets: dict[int, list[int]]
 
 
 def _search(frame: Frame, destination: int) -> Search:
     togo: list[float] = [inf] * len(frame.neighbours)
     togo[destination] = 0
-    return Search(togo, [(0, destination)])
+    return Search(togo, [0], {0: [destination]})
 
 
 def cheapest_route(
@@ -280,36 +288,50 @@ def cheapest_route(
 ) -> Route | None:
     """Cheapest path over the edges not in ``used``, ties to the smallest id sequence.
 
-    A reverse Dijkstra from the destination pops nodes until no entry is
-    cheaper than the source's label, which is then its exact cost to go.  A
-    walk from the source then steps, at each node, to the smallest-id
-    neighbour that stays on a cheapest path.  The lexicographically smallest
-    cheapest path starts with the smallest such neighbour and continues with
-    the smallest cheapest path from it, so the walk finds it.  Transport
-    costs must be positive: cost to go then falls strictly along the walk,
-    which keeps it simple, and every node the walk steps to has a final
-    label below the source's.
+    A reverse search from the destination expands its pending labels in
+    increasing order, each label's whole bucket at once, until no label is
+    below the source's, which is then its exact cost to go.  A tier
+    destination weighs zero, so it gives its neighbour the label being
+    expanded, in a fresh bucket at that label, which is expanded next.  Any
+    other tier node is a leaf whose label exceeds its one neighbour's, so it
+    can lower no label: it is given one but joins no bucket.  A walk from
+    the source then steps, at each node, to the smallest-id neighbour that
+    stays on a cheapest path.  The lexicographically smallest cheapest path
+    starts with the smallest such neighbour and continues with the smallest
+    cheapest path from it, so the walk finds it.  Transport costs must be
+    positive: cost to go then falls strictly along the walk, which keeps it
+    simple, and every node the walk steps to has a final label below the
+    source's.
 
     ``search``, if given, is the state that earlier calls toward
     ``destination`` on the same ``used`` left behind, under ``costs`` or
     under costs no lower at any node and then repaired by
     :func:`_take_search`, and the search resumes where it stopped.  Every
     label then bounds its node's cost to go from above, and every node that
-    may still lower a neighbour's label has an entry at its own label.  So
-    a label below every pending entry is final, and resuming only makes
-    more labels final: the route is the one a fresh search finds.
+    may still lower a neighbour's label is pending in the bucket of its own
+    label.  So a label below every pending label is final, and resuming
+    only makes more labels final: the route is the one a fresh search finds.
     """
     neighbours = frame.neighbours
-    togo, heap = _search(frame, destination) if search is None else search
-    while heap and heap[0][0] < togo[source]:
-        cost, u = heappop(heap)
-        if cost > togo[u]:
-            continue
-        via = cost + costs[u]
-        for w, bit in neighbours[u]:
-            if via < togo[w] and not used & bit:
-                togo[w] = via
-                heappush(heap, (via, w))
+    togo, labels, buckets = _search(frame, destination) if search is None else search
+    while labels and labels[0] < togo[source]:
+        label = heappop(labels)
+        for u in buckets.pop(label):
+            if togo[u] != label:
+                continue
+            via = label + costs[u]
+            bucket = None
+            for w, bit in neighbours[u]:
+                if via < togo[w] and not used & bit:
+                    togo[w] = via
+                    if not costs[w]:  # a tier node, which lowers no label
+                        continue
+                    if bucket is None:
+                        bucket = buckets.get(via)
+                        if bucket is None:
+                            bucket = buckets[via] = []
+                            heappush(labels, via)
+                    bucket.append(w)
     if togo[source] == inf:
         return None
     path = [source]
@@ -369,8 +391,8 @@ class _Router(NamedTuple):
     (destination, residual mask) to its :class:`Search`, and ``served``
     maps (source, destination, residual mask) to the (route, fidelity)
     served on it.  ``carried`` is the previous graph's ``searches``, which
-    this graph may take over after pushing back the nodes ``lowered``,
-    whose costs fell.
+    this graph may take over after putting the nodes ``lowered``, whose
+    costs fell, back into the buckets of their labels.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -479,15 +501,19 @@ def _take_search(router: _Router, destination: int, used: int) -> Search:
         # Every label is the cost of a real path, which can only have got
         # cheaper, so it still bounds the cost to go from above.  Only a
         # node whose own cost fell can offer its neighbours a cheaper
-        # label, so each such node with a finite label goes back on the
-        # heap at its label, and resuming relaxes its neighbours at the new
-        # cost: the decrease-only case of dynamic shortest paths
+        # label, so each such node with a finite label goes back into the
+        # bucket of its label, and resuming relaxes its neighbours at the
+        # new cost: the decrease-only case of dynamic shortest paths
         # (Ramalingam & Reps, J. Algorithms 21(2), 1996).
         counters.carried += 1
-        togo, heap = search
+        togo, labels, buckets = search
         for u in router.lowered:
-            if togo[u] < inf:
-                heappush(heap, (togo[u], u))
+            label = togo[u]
+            if label < inf:
+                if label not in buckets:
+                    buckets[label] = []
+                    heappush(labels, label)
+                buckets[label].append(u)
     router.searches[destination, used] = search
     return search
 

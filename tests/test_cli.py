@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from qrepnet import cli
 from qrepnet.cli import UsageError, main, read_config
 
 FAST = ["--n", "3", "--pair-draws", "1", "--class-draws", "2", "--xi", "0", "--xi", "1"]
@@ -205,6 +206,20 @@ def test_usage_errors_exit_2(tmp_path):
         with pytest.raises(UsageError, match=r"empty\.cfg:2: .* has no value"):
             read_config(empty)
         assert run([command, "--config", empty, "--out-dir", tmp_path / "o"]) == 2
+
+
+def test_out_of_memory_building_the_network_exits_1(tmp_path, monkeypatch, capsys):
+    """A network too large for memory is one error line and exit 1, before
+    any output; the builder is patched, so nothing large is allocated."""
+
+    def no_memory(topology, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "base_network", no_memory)
+    out = tmp_path / "never"
+    assert run(["blocking", *FAST, "--n", "100000", "--out-dir", out]) == 1
+    assert capsys.readouterr().err == "error: out of memory building the n=100000 network\n"
+    assert not out.exists()
 
 
 def test_bad_core_width_fails_alike_from_flag_and_file(tmp_path, capsys):

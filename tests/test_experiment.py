@@ -668,6 +668,30 @@ def test_blocking_work_counts_are_pinned(monkeypatch):
     assert len(routing._last.scores) == 57
 
 
+def test_stress_work_counts_are_pinned(monkeypatch):
+    """The routing work of a small n=10 cylinder blocking study, pinned.
+
+    At n=10 the reverse searches do most of the work, so these counts pin
+    the search sharing and carrying where it matters; like the n=5 pin,
+    they move only when the engine or the router does different work.
+    """
+    cfg = ExperimentConfig(
+        topology=CYLINDER, n=10, num_pair_draws=2, num_class_draws=3,
+        xi_values=tuple(k / 20 for k in range(21)),
+    )
+    # 2 mappings x 3 class draws x 21 xi x 2 pairings x 10 requests at one
+    # threshold: 2,520, below the fork floor.
+    assert experiment._pool_workers(2, cfg, 21) == 1
+    monkeypatch.setattr(routing, "counters", routing.Counters())
+    monkeypatch.setattr(routing, "_last", None)
+    study_blocking(cfg, (0.53,))
+    assert routing.counters == routing.Counters(
+        batches=252, requests=2520, no_path=34, below_threshold=2173,
+        searches=537, carried=419, walks=1227,
+    )
+    assert len(routing._last.scores) == 159
+
+
 def test_sweep_memory_is_flat_in_class_draws(in_process):
     """Batches are folded as they are served, so the traced peak of a
     blocking study plus an xi sweep does not grow with the class draws.

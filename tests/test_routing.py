@@ -1,6 +1,7 @@
 """Tests for node-weighted shortest paths and sequential batch allocation."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -66,6 +67,69 @@ def brute_force_best(graph, source, destination, mapping):
         key = (cost, tuple(path))
         if best is None or key < best:
             best = key
+    return best
+
+
+def branch_and_bound_best(graph, source, destination, mapping):
+    """Minimum (cost, path) over all simple paths, or None if disconnected.
+
+    The same exhaustive reference as :func:`brute_force_best`, fast enough
+    for n=5: a depth-first search over simple paths, neighbours in
+    increasing id order, so complete paths come in lexicographic order.
+    Costs are exact: the ``Fraction`` weights are summed as integers over
+    their common denominator.  A path from a node ``hops`` edges from the
+    destination (by breadth-first search) enters ``hops - 1`` transport
+    nodes before it, since tier nodes are leaves, so a partial path is
+    pruned once its cost plus that many least transport weights reaches the
+    best cost found.  Pruning on equality is safe, because a later path of
+    equal cost is lexicographically larger.
+    """
+    exact = [node_weight(graph, v, mapping) for v in range(graph.num_nodes)]
+    scale = math.lcm(*(w.denominator for w in exact))
+    weights = [int(w * scale) for w in exact]
+    least = min(weights[: graph.num_transport])
+    hops = {destination: 0}
+    queue = [destination]
+    for v in queue:  # the queue grows while it is read
+        for w in graph.adjacency[v]:
+            if w not in hops:
+                hops[w] = hops[v] + 1
+                queue.append(w)
+    if source not in hops:
+        return None
+    ahead = {v: max(h - 1, 0) * least for v, h in hops.items()}
+    onward = {v: sorted(graph.adjacency[v]) for v in hops}
+    path = [source]
+    on_path = {source}
+    best = None
+
+    def extend(cost):
+        nonlocal best
+        v = path[-1]
+        if v == destination:
+            best = (cost, tuple(path))
+            return
+        for w in onward[v]:
+            if w in on_path:
+                continue
+            through = cost + weights[w]
+            if best is not None and through + ahead[w] >= best[0]:
+                continue
+            path.append(w)
+            on_path.add(w)
+            extend(through)
+            on_path.remove(w)
+            path.pop()
+
+    extend(0)
+    return None if best is None else (Fraction(best[0], scale), best[1])
+
+
+def exhaustive_best(graph, source, destination, mapping):
+    """The branch-and-bound optimum, checked against networkx at n=3."""
+    best = branch_and_bound_best(graph, source, destination, mapping)
+    if graph.n == 3:
+        assert best == brute_force_best(graph, source, destination, mapping)
     return best
 
 
@@ -461,23 +525,18 @@ WEIGHTS = (
 
 @st.composite
 def residual_networks(draw):
-    """Copies of one random classed 3x3 or 4x4 grid or cylinder, each lacking
-    a random set of edges; the copies share one classes tuple.
-
-    A 4x4 copy lacks at least a sixth of its edges, as a residual network
-    does once a request or two is served; that keeps the exhaustive search
-    of the reference short (an intact 4x4 cylinder has about 1,500 simple
-    paths per request).
+    """Copies of one random classed 3x3, 4x4 or 5x5 grid or cylinder, each
+    lacking a random set of edges, none at all included; the copies share
+    one classes tuple.  At n=5, the width the studies default to, the
+    branch and bound is the oracle; at 3x3 networkx checks it.
     """
-    base = build_network(draw(st.sampled_from((GRID, CYLINDER))), draw(st.sampled_from((3, 4))))
+    base = build_network(
+        draw(st.sampled_from((GRID, CYLINDER))), draw(st.sampled_from((3, 4, 5)))
+    )
     hq = draw(st.lists(st.booleans(), min_size=base.num_transport, max_size=base.num_transport))
     classed = base.with_classes({v: HQ if h else LQ for v, h in enumerate(hq)})
     edges = list(classed.edges())
-    cut_sets = st.sets(
-        st.sampled_from(edges),
-        min_size=len(edges) // 6 if base.n == 4 else 0,
-        max_size=len(edges) // 2,
-    )
+    cut_sets = st.sets(st.sampled_from(edges), max_size=len(edges) // 2)
     residuals = []
     for cut in draw(st.lists(cut_sets, min_size=1, max_size=3)):
         residual = classed.copy()
@@ -513,7 +572,7 @@ def test_shared_searches_match_brute_force(residuals, mapping, data):
         [allocation], _ = allocate_batch(
             g, [RoutingRequest(source, destination, 1)], mapping, 0.0, 0.975
         )
-        want = brute_force_best(g, source, destination, mapping)
+        want = exhaustive_best(g, source, destination, mapping)
         assert allocation.path == (None if want is None else want[1])
     masks = {routing.network_frame(g)[1] for g in residuals}
     assert set(routing._last.searches) == {(d, used) for d in destinations for used in masks}
@@ -528,10 +587,10 @@ def test_repaired_searches_match_brute_force(residuals, mapping, data):
     Requests served on residual copies of one classed graph leave searches
     behind.  The copies are then served again with a random non-empty set
     of nodes switched to the cheaper class, in one new classes tuple, so no
-    cost rises and the new graph takes the searches over, pushing back the
-    nodes whose cost fell.  Last the old classes come back, which raises
-    the switched nodes' costs whenever the classes weigh differently.
-    Every route of every phase must be the exhaustive optimum.
+    cost rises and the new graph takes the searches over, putting the nodes
+    whose cost fell back into their buckets.  Last the old classes come
+    back, which raises the switched nodes' costs whenever the classes weigh
+    differently.  Every route of every phase must be the exhaustive optimum.
     """
     graph = residuals[0]
     weight = {cls: mapping(cls.eta) for cls in (HQ, LQ)}
@@ -554,7 +613,7 @@ def test_repaired_searches_match_brute_force(residuals, mapping, data):
             [allocation], _ = allocate_batch(
                 g, [RoutingRequest(source, destination, 1)], mapping, 0.0, 0.975
             )
-            want = brute_force_best(g, source, destination, mapping)
+            want = exhaustive_best(g, source, destination, mapping)
             assert allocation.path == (None if want is None else want[1])
         router = routing._last
         if phase == 1:
