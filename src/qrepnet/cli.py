@@ -30,12 +30,10 @@ from pathlib import Path
 
 from . import __version__, experiment
 from .experiment import (
-    AWARE,
     COARSE_XI_GRID,
     DEFAULT_ETA_L_VALUES,
     DEFAULT_F_BAR_VALUES,
     MAPPINGS,
-    UNAWARE,
     ExperimentConfig,
     SampleStats,
     study_blocking,
@@ -53,22 +51,25 @@ SENSITIVITY_PATH_NODE_COUNTS = (7, 11)
 
 # Keys a manifest contains beyond plain configuration; ignored on re-read.
 _MANIFEST_ONLY_KEYS = {"command", "version", "started", "finished", "workers", "output"}
-# Every configuration key in manifest order, with the ExperimentConfig field
-# it sets and its type.  ``xi`` and ``out_dir`` resolve on their own.
+# Every configuration key in manifest order: the ExperimentConfig field it
+# sets, its type, and its flag's metavar and help.  ``xi`` and ``out_dir``
+# resolve on their own.
 _KEYS = {
-    "n": ("n", int),
-    "xi": ("xi_values", float),
-    "eta_h": ("eta_h", float),
-    "eta_l": ("eta_l", float),
-    "f": ("link_fidelity", float),
-    "f_bar": ("f_bar", float),
-    "aware_weight": ("aware_weight", float),
-    "pair_draws": ("num_pair_draws", int),
-    "class_draws": ("num_class_draws", int),
-    "seed": ("seed", int),
-    "out_dir": (None, str),
-    "topology": ("topology", str),
-    "mapping": ("mapping", str),
+    "n": ("n", int, "WIDTH", "transport core width"),
+    "xi": ("xi_values", float, "FRACTION", "upgrade fraction; repeatable"),
+    "eta_h": ("eta_h", float, "RATE", "high-quality node noise rate"),
+    "eta_l": ("eta_l", float, "RATE", "low-quality node noise rate; lq-sensitivity takes several"),
+    "f": ("link_fidelity", float, "FIDELITY", "elementary link fidelity"),
+    "f_bar": ("f_bar", float, "THRESHOLD",
+              "minimum acceptable end-to-end fidelity; blocking takes several"),
+    "aware_weight": ("aware_weight", float, "WEIGHT",
+                     "node weight the aware mapping puts on low-quality nodes"),
+    "pair_draws": ("num_pair_draws", int, "COUNT", "source-destination pairings drawn"),
+    "class_draws": ("num_class_draws", int, "COUNT", "node class assignments drawn"),
+    "seed": ("seed", int, "INT", f"root seed, else ${ENV_SEED}"),
+    "out_dir": (None, str, "DIR", f"output directory (default {DEFAULT_OUT_DIR})"),
+    "topology": ("topology", str, "NAME", " or ".join(TOPOLOGIES)),
+    "mapping": ("mapping", str, "NAME", "routing weight mapping: " + " or ".join(MAPPINGS)),
 }
 
 
@@ -95,11 +96,15 @@ def read_config(path: str | Path) -> dict[str, list[str]]:
     Repeatable keys may appear several times or hold comma-separated values;
     ``#`` at the start of a line or after whitespace starts a comment.
     ``out-dir`` is read whole, commas included.  A key with no value is a
-    usage error.  Manifest bookkeeping keys are skipped so a run manifest
-    doubles as a config file.
+    usage error, and so is a file that is not UTF-8.  Manifest bookkeeping
+    keys are skipped so a run manifest doubles as a config file.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     values: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _uncommented(raw).strip()
         if not line:
             continue
@@ -130,7 +135,7 @@ def _settings(args: argparse.Namespace) -> _Settings:
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     flags = {key: value if isinstance(value, list) else [str(value)]
-             for key in (*_KEYS, "xi_step") if (value := getattr(args, key, None)) is not None}
+             for key in (*_KEYS, "xi_step") if (value := getattr(args, key)) is not None}
     if "xi" in flags or "xi_step" in flags:
         settings.pop("xi", None)
         settings.pop("xi_step", None)
@@ -177,32 +182,6 @@ def _resolve_xi(
     return tuple(values if values[-1] == 1.0 else [*values, 1.0])
 
 
-def _common_flags(parser: argparse.ArgumentParser, topology_choice: bool) -> None:
-    if topology_choice:
-        parser.add_argument("--topology", choices=TOPOLOGIES)
-    parser.add_argument("--n", help="transport core width")
-    parser.add_argument("--xi", action="append", metavar="FRACTION",
-                        help="upgrade fraction; repeatable")
-    parser.add_argument("--xi-step", dest="xi_step", metavar="STEP",
-                        help="xi grid step from 0 to 1, alternative to --xi")
-    parser.add_argument("--eta-h", dest="eta_h", metavar="RATE",
-                        help="high-quality node noise rate")
-    parser.add_argument("--eta-l", dest="eta_l", action="append", metavar="RATE",
-                        help="low-quality node noise rate")
-    parser.add_argument("--f", metavar="FIDELITY", help="elementary link fidelity")
-    parser.add_argument("--f-bar", dest="f_bar", action="append", metavar="THRESHOLD",
-                        help="minimum acceptable end-to-end fidelity")
-    parser.add_argument("--mapping", choices=(UNAWARE, AWARE))
-    parser.add_argument("--aware-weight", dest="aware_weight", metavar="WEIGHT",
-                        help="node weight the aware mapping puts on low-quality nodes")
-    parser.add_argument("--pair-draws", dest="pair_draws", metavar="COUNT")
-    parser.add_argument("--class-draws", dest="class_draws", metavar="COUNT")
-    parser.add_argument("--seed", metavar="INT")
-    parser.add_argument("--out-dir", dest="out_dir", metavar="DIR")
-    parser.add_argument("--config", metavar="FILE",
-                        help="key=value file; flags override its entries")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
@@ -229,7 +208,7 @@ def _write_manifest(path: Path, items: Sequence[tuple[str, object]]) -> None:
         else:
             rendered = str(value)
         lines.append(f"{key.replace('_', '-')}={rendered}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -357,14 +336,15 @@ def _run(command: str, args: argparse.Namespace) -> int:
         raise UsageError(f"{study.owns} is not accepted here: "
                          f"this study always runs {_BOTH[study.owns]}")
     values = _value(settings, study.repeats, float, study.defaults, many=True)
-    given = {field: _value(settings, key, cast) for key, (field, cast) in _KEYS.items()
+    given = {field: _value(settings, key, cast) for key, (field, cast, *_) in _KEYS.items()
              if key not in ("xi", "out_dir", study.owns, study.repeats)}
     if study.zero_f_bar and given["f_bar"]:
         raise UsageError("this study requires a zero fidelity threshold")
     given["xi_values"] = _resolve_xi(settings, study.xi_grid)
     out_dir = Path(_value(settings, "out_dir", str, DEFAULT_OUT_DIR))
-    recorded = str(out_dir)  # as the manifest writes it, on one line
-    if recorded.splitlines() != [recorded] or _uncommented(recorded).strip() != recorded:
+    recorded = str(out_dir)  # as the manifest writes it: UTF-8, on one line
+    if (recorded.splitlines() != [recorded] or _uncommented(recorded).strip() != recorded
+            or recorded.encode("utf-8", "replace").decode("utf-8") != recorded):
         raise UsageError(f"out-dir {recorded!r} would not replay from the run manifest")
     try:
         cfg = ExperimentConfig(
@@ -397,7 +377,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
         ("workers", experiment._pool_workers(passes, cfg, len(cfg.resolved_xi()))),
         *outputs,
         *((key, derived[key] if key in derived else getattr(cfg, field))
-          for key, (field, _) in _KEYS.items() if key != study.owns),
+          for key, (field, *_) in _KEYS.items() if key != study.owns),
     ])
     return 0
 
@@ -412,7 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, study in _STUDIES.items():
         p = sub.add_parser(name, help=study.help)
-        _common_flags(p, topology_choice=study.owns != "topology")
+        # Every study takes every key's flag; _run rejects the one it owns.
+        for key, (*_, metavar, text) in _KEYS.items():
+            p.add_argument(f"--{key.replace('_', '-')}", metavar=metavar, help=text,
+                           action="append" if key in ("xi", "eta_l", "f_bar") else "store")
+        p.add_argument("--xi-step", metavar="STEP",
+                       help="xi grid step from 0 to 1, alternative to --xi")
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value file; flags override its entries")
     return parser
 
 

@@ -140,9 +140,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
+        for name in ("n", "num_pair_draws", "num_class_draws", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 2:
             raise ValueError(f"core width must be at least 2, got {self.n}")
         if self.xi_values is not None:
+            if not self.xi_values:
+                raise ValueError("xi values, when given, must not be empty")
             for xi in self.xi_values:
                 if not 0.0 <= xi <= 1.0:
                     raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
@@ -624,11 +629,11 @@ def sweep_eta_l(
     """Repeat the xi sweep for several low-quality noise rates.
 
     All sweeps share the config's seed, so pairings, establishment orders and
-    upgrade draws are identical across the compared noise rates.
+    upgrade draws are identical across the compared noise rates.  Every
+    rate is checked before the first sweep.
     """
-    return tuple(
-        (eta_l, sweep_xi(replace(config, eta_l=eta_l))) for eta_l in eta_l_values
-    )
+    configs = [replace(config, eta_l=eta_l) for eta_l in eta_l_values]
+    return tuple((cfg.eta_l, sweep_xi(cfg)) for cfg in configs)
 
 
 @dataclass(frozen=True)

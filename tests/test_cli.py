@@ -223,27 +223,47 @@ def test_out_of_memory_building_the_network_exits_1(tmp_path, monkeypatch, capsy
 
 
 def test_bad_core_width_fails_alike_from_flag_and_file(tmp_path, capsys):
-    """``--n`` is cast where every other key is, so a width that is not a
-    whole number fails with one message, from a flag or a config file, and
-    no output is written."""
-    cfg = tmp_path / "n.cfg"
-    cfg.write_text("n=2.5\n")
-    for source in (["--n", "2.5"], ["--config", cfg]):
-        out = tmp_path / "never"
-        assert run(["blocking", *source, "--pair-draws", "1", "--out-dir", out]) == 2
-        assert "invalid value for n: '2.5'" in capsys.readouterr().err
-        assert not out.exists()
+    """``--n`` is cast where every other key is, and ``--topology`` and
+    ``--mapping`` are checked where every other value is, so a width that is
+    not a whole number, or a topology or mapping no study knows, fails with
+    one message, from a flag or a config file, and no output is written."""
+    for command, key, value, message in [
+        ("blocking", "n", "2.5", "invalid value for n: '2.5'"),
+        ("blocking", "topology", "moebius", "unknown topology 'moebius'"),
+        ("lq-sensitivity", "mapping", "psychic", "unknown weight mapping 'psychic'"),
+    ]:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        for source in ([f"--{key}", value], ["--config", cfg]):
+            out = tmp_path / "never"
+            assert run([command, *source, "--pair-draws", "1", "--out-dir", out]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
 
 def test_unrecognized_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
-        run(["topology-study", "--topology", "grid"])
+        run(["topology-study", "--frobnicate", "1"])
     assert exc.value.code == 2
 
 
 def test_study_specific_flags_are_rejected():
+    """A study's own key is a usage error from a flag as from a file."""
     assert run(["noise-awareness", *FAST, "--mapping", "aware"]) == 2
     assert run(["blocking", *FAST, "--mapping", "unaware"]) == 2
+    assert run(["topology-study", *FAST, "--topology", "grid"]) == 2
+
+
+def test_every_study_offers_the_same_flags(capsys):
+    """One key table builds every study's flags, the keys a study owns too."""
+    offered = {}
+    for command in cli._STUDIES:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        offered[command] = set(re.findall(r"(?<!\S)(--[a-z][a-z-]*)", capsys.readouterr().out))
+    flags = {f"--{key.replace('_', '-')}" for key in cli._KEYS}
+    assert all(seen == offered["blocking"] for seen in offered.values())
+    assert offered["blocking"] == {*flags, "--xi-step", "--config", "--help"}
 
 
 def test_xi_step_builds_a_grid(tmp_path):
@@ -315,10 +335,22 @@ def test_manifest_of_an_out_dir_with_a_comma_or_hash_replays(tmp_path, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
-@pytest.mark.parametrize("name", ["c #d", "e ", "f\ng"])
+# The last name is not UTF-8: argv decodes its byte 0xff to a lone surrogate.
+@pytest.mark.parametrize("name", ["c #d", "e ", "f\ng", "bad\udcff"])
 def test_an_out_dir_a_manifest_cannot_record_exits_2(tmp_path, name):
     assert run(["blocking", *FAST, "--out-dir", tmp_path / name]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content", [b"seed=1\n\xff\n", b"\x7fELF\x02\x01\x01\x00\xc3\x28"],
+                         ids=["stray-byte", "binary"])
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(content)
+    out = tmp_path / "never"
+    assert run(["blocking", *FAST, "--config", cfg, "--out-dir", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text")
+    assert not out.exists()
 
 
 def test_version_flag():

@@ -92,6 +92,28 @@ def test_config_validation():
     for weight in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             ExperimentConfig(aware_weight=weight)
+    whole = ExperimentConfig(n=np.int64(3), num_pair_draws=np.int32(1),
+                             num_class_draws=np.uint8(2), seed=np.int64(7))
+    assert whole.n == 3 and whole.seed == 7
+
+
+@pytest.mark.parametrize("start", [
+    lambda: ExperimentConfig(n=2.5),
+    lambda: ExperimentConfig(num_pair_draws=1.5),
+    lambda: ExperimentConfig(num_class_draws=1.5),
+    lambda: ExperimentConfig(seed=1.5),
+    lambda: ExperimentConfig(xi_values=()),
+    lambda: sweep_eta_l(SMALL, (0.99, 0.4)),
+], ids=["n", "pair_draws", "class_draws", "seed", "no_xi", "second_eta_l"])
+def test_bad_configs_fail_before_any_sweep(monkeypatch, start):
+    """A config that would fail mid-study (in ``range``, ``SeedSequence`` or a
+    division by zero requests), or a bad later noise rate, is a
+    ``ValueError`` before the first sweep."""
+    sweeps = []
+    monkeypatch.setattr(experiment, "sweep_xi", sweeps.append)
+    with pytest.raises(ValueError):
+        start()
+    assert sweeps == []
 
 
 def test_draw_pairing_is_a_bijection_and_reproducible():

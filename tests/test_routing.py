@@ -16,7 +16,9 @@ from scipy import stats
 from qrepnet import (
     CYLINDER,
     GRID,
+    MAPPINGS,
     BlockReason,
+    ExperimentConfig,
     NoiseClass,
     PathAllocation,
     RoutingRequest,
@@ -30,7 +32,7 @@ from qrepnet import (
     shuffle_requests,
     two_class_fidelity,
 )
-from qrepnet import routing
+from qrepnet import experiment, routing
 from qrepnet.routing import integer_costs
 from qrepnet.topology import NodeKind
 
@@ -622,6 +624,59 @@ def test_repaired_searches_match_brute_force(residuals, mapping, data):
         if phase:
             taken = [any(search is h for h in held) for search in router.searches.values()]
             assert all(taken) if phase == 1 or not costs_move else not any(taken)
+
+
+def test_a_blocking_class_draw_routes_as_the_oracle_does():
+    """Class draw 0 of the default ``blocking`` study (cylinder, n=5, both
+    mappings, all 26 xi, every default threshold, 5 pairings: 780 batches
+    through the trial engine) matches the exhaustive oracle request by
+    request, on the residual network each request meets: the oracle's path
+    is allocated when its score reaches the threshold, ``BELOW_THRESHOLD``
+    is reported when it does not, and ``NO_PATH`` exactly when there is no
+    path.  The oracle runs once per (node costs, endpoints, residual)."""
+    thresholds = experiment.DEFAULT_F_BAR_VALUES
+    best = {}
+    batches = 0
+    reasons = set()
+    routing._last = None
+    for mapping in MAPPINGS:
+        cfg = ExperimentConfig(topology=CYLINDER, mapping=mapping)
+        weights = cfg.weight_mapping()
+        hq, lq = cfg.hq_class(), cfg.lq_class()
+        for _, j, _, graph, allocations, blocked in experiment._sweep(
+            cfg, cfg.resolved_xi(), thresholds, class_draws=[0]
+        ):
+            batches += 1
+            costs = tuple(node_weight(graph, v, weights) for v in range(graph.num_transport))
+            residual, cut = graph.copy(), frozenset()
+            for allocation in allocations:
+                request = allocation.request
+                key = (costs, request.source, request.destination, cut)
+                if key not in best:
+                    found = branch_and_bound_best(
+                        residual, request.source, request.destination, weights
+                    )
+                    best[key] = None if found is None else found[1]
+                path = best[key]
+                if path is None:
+                    assert allocation.blocked is BlockReason.NO_PATH
+                    continue
+                comp = path_composition(graph, path)
+                score = two_class_fidelity(
+                    comp.get(hq, 0), comp.get(lq, 0), hq.eta, lq.eta, cfg.link_fidelity
+                )
+                if score < thresholds[j]:
+                    assert allocation.blocked is BlockReason.BELOW_THRESHOLD
+                    continue
+                assert allocation == PathAllocation(request, path, score, None)
+                for u, v in itertools.pairwise(path):
+                    residual.adjacency[u].discard(v)
+                    residual.adjacency[v].discard(u)
+                    cut |= {frozenset((u, v))}
+            assert blocked == sum(a.blocked is not None for a in allocations)
+            reasons |= {a.blocked for a in allocations}
+    assert batches == 2 * 26 * len(thresholds) * 5
+    assert reasons == {None, BlockReason.NO_PATH, BlockReason.BELOW_THRESHOLD}
 
 
 def test_routing_rejects_edges_outside_the_base_network():
