@@ -96,13 +96,16 @@ def read_config(path: str | Path) -> dict[str, list[str]]:
     Repeatable keys may appear several times or hold comma-separated values;
     ``#`` at the start of a line or after whitespace starts a comment.
     ``out-dir`` is read whole, commas included.  A key with no value is a
-    usage error, and so is a file that is not UTF-8.  Manifest bookkeeping
-    keys are skipped so a run manifest doubles as a config file.
+    usage error, and so is a file that cannot be read or is not UTF-8.
+    Manifest bookkeeping keys are skipped so a run manifest doubles as a
+    config file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read the config file ({exc.strerror})") from exc
     values: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _uncommented(raw).strip()

@@ -17,11 +17,13 @@ curve comparisons paired rather than independent.
 
 Every study reduces over one trial engine, :func:`_sweep`, which runs class
 draw by class draw, walks ``xi`` upward within a draw so that routing can
-carry its searches over, and serves every batch with one
-:func:`~qrepnet.routing.allocate_batch` call.  Each study folds each batch
-the moment it is served into state that does not grow with the class draws
-(counts, histograms of the discrete fidelities); only the noise-awareness
-study keeps its samples, because its CSV lists every one.
+carry its searches over, and serves each batch with one
+:func:`~qrepnet.routing.allocate_batch` call, but for a higher threshold's
+batch that provably equals the one a lower threshold served, which it
+passes on.  Each study folds each batch the moment it is served into state
+that does not grow with the class draws (counts, histograms of the discrete
+fidelities); only the noise-awareness study keeps its samples, because its
+CSV lists every one.
 
 A large enough study folds contiguous blocks of class draws in worker
 processes, one per CPU, each forked once and sending its folds back over
@@ -42,9 +44,9 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, product
-from math import floor, isfinite, lcm
-from numbers import Integral
-from operator import add
+from math import floor, inf, isfinite, lcm
+from numbers import Integral, Real
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -143,9 +145,14 @@ class ExperimentConfig:
         for name in ("n", "num_pair_draws", "num_class_draws", "seed"):
             if not isinstance(getattr(self, name), Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("eta_h", "eta_l", "link_fidelity", "f_bar", "aware_weight"):
+            if not isinstance(getattr(self, name), Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.n < 2:
             raise ValueError(f"core width must be at least 2, got {self.n}")
         if self.xi_values is not None:
+            # A tuple, so that the frozen config hashes whatever sequence it got.
+            object.__setattr__(self, "xi_values", tuple(self.xi_values))
             if not self.xi_values:
                 raise ValueError("xi values, when given, must not be empty")
             for xi in self.xi_values:
@@ -232,14 +239,21 @@ def _sweep(
     """The trial engine: every batch of a config, class draw by class draw.
 
     Yields ``(i, j, p, graph, allocations, blocked)`` per batch the moment
-    :func:`~qrepnet.routing.allocate_batch` returns it, ``i``, ``j`` and
-    ``p`` indexing ``xi_values``, ``f_bars`` and the pairings, ``graph``
-    being the classed network.  Pairings are drawn once.  Each class draw
-    draws its upgrade permutation and establishment orders, drops them once
-    done and walks xi in ascending upgrade count, so each graph only lowers
-    the node costs of the last and routing carries its searches over.  Each
-    graph serves all its batches back to back, threshold by threshold.  A
-    block of ``class_draws`` serves the batches a whole run serves for them.
+    it is served, ``i``, ``j`` and ``p`` indexing ``xi_values``, ``f_bars``
+    and the pairings, ``graph`` being the classed network.  Pairings are
+    drawn once.  Each class draw draws its upgrade permutation and
+    establishment orders, drops them once done and walks xi in ascending
+    upgrade count, so each graph only lowers the node costs of the last and
+    routing carries its searches over.  Each graph serves all its batches
+    back to back, order by order and each order's thresholds in ascending
+    order.  A threshold takes the batch served last, the same allocations
+    and block count, when every fidelity that batch allocated reaches it:
+    each allocation then still passes, so the residual networks are the
+    same, and each blocked request is still blocked, for want of a path or
+    below the lower threshold.  Every other batch is one
+    :func:`~qrepnet.routing.allocate_batch` call, and :data:`routing.counters`
+    counts a taken batch as ``reused``.  A block of ``class_draws`` serves
+    the batches a whole run serves for them.
     """
     seed = config.seed
     base = base_network(config.topology, config.n)
@@ -252,6 +266,7 @@ def _sweep(
         for p in pairing_indices
     ]
     upgrades = sorted((round(xi * num), i) for i, xi in enumerate(xi_values))
+    ascending = sorted(enumerate(f_bars), key=itemgetter(1))
     hq, lq = config.hq_class(), config.lq_class()
     mapping = config.weight_mapping()
     tiers = base.classes[num:]
@@ -267,11 +282,16 @@ def _sweep(
             for v in upgrade_order[:k]:
                 classes[v] = hq
             graph = replace(base, classes=tuple(classes) + tiers)
-            for j, f_bar in enumerate(f_bars):
-                for p, order in enumerate(orders):
-                    allocations, blocked = allocate_batch(
-                        graph, order, mapping, f_bar, config.link_fidelity
-                    )
+            for p, order in enumerate(orders):
+                least = -inf  # the least fidelity the last served batch allocated
+                for j, f_bar in ascending:
+                    if least < f_bar:
+                        allocations, blocked = allocate_batch(
+                            graph, order, mapping, f_bar, config.link_fidelity
+                        )
+                        least = min((a.fidelity for a in allocations if a.path), default=inf)
+                    else:
+                        routing.counters.reused += 1
                     yield i, j, p, graph, allocations, blocked
 
 
@@ -291,8 +311,9 @@ def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:
     """The processes that fold a study of ``passes`` passes over ``num_xi``
     upgrade fractions; 1 folds it in process.
 
-    Later thresholds serve a graph's batches from the routing memo, so the
-    requests of one threshold measure the work.  Workers are forked: only on
+    Later thresholds take a graph's batches from a lower threshold or serve
+    them from the routing memo, so the requests of one threshold measure
+    the work.  Workers are forked: only on
     Linux, only while no other thread runs (a child may inherit a lock it
     holds) and only while ``allocate_batch`` is unwrapped, as a wrapper (a
     tracer, a profiler) sees only the calls made in its own process.

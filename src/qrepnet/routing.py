@@ -31,6 +31,10 @@ residual mask) and its resumable reverse searches per (destination,
 residual mask) die with it; only the searches pass to the next graph,
 while the mapping is the same and no node cost rises, repaired on first
 use, so the searches of two graphs at most are alive.
+A request on a residual network first takes the route on the batch's start
+network: every path open on the residual network is open there too, so
+when no consumed edge lies on that route, or there is none, it is the
+answer, and only otherwise does the residual network get a search.
 The module-level :data:`counters` count batches, requests and the work done
 on memo misses.
 """
@@ -412,23 +416,28 @@ class _Router(NamedTuple):
 
 @dataclass
 class Counters:
-    """Work done by :func:`allocate_batch`.
+    """Work done by :func:`allocate_batch` and the batches spared it.
 
     ``batches`` counts calls and ``requests`` the requests they served.
     ``no_path`` and ``below_threshold`` count blocked requests by reason.
-    The rest count memo misses: ``walks`` the routes computed, ``searches``
-    the reverse searches started afresh and ``carried`` those taken over
-    from the previous classed graph and repaired.  A served hit counts
-    nothing.
+    ``reused`` counts the batches the trial engine took from a lower
+    threshold instead of calling :func:`allocate_batch`, so ``batches +
+    reused`` is a study's batch count.  The rest count memo misses:
+    ``walks`` the routes computed, ``searches`` the reverse searches
+    started afresh, ``carried`` those taken over from the previous classed
+    graph and repaired, and ``certified`` the residual routes answered by
+    the route on the batch's start network.  A served hit counts nothing.
     """
 
     batches: int = 0
     requests: int = 0
     no_path: int = 0
     below_threshold: int = 0
+    reused: int = 0
     searches: int = 0
     carried: int = 0
     walks: int = 0
+    certified: int = 0
 
 
 # Counts since the module was imported; readers take differences.
@@ -518,6 +527,19 @@ def _take_search(router: _Router, destination: int, used: int) -> Search:
     return search
 
 
+def _walk(router: _Router, source: int, destination: int, used: int) -> Route | None:
+    """Compute and store the route for (source, destination, used), on the
+    router's search toward ``destination`` on ``used``."""
+    counters.walks += 1
+    search = router.searches.get((destination, used))
+    if search is None:
+        search = _take_search(router, destination, used)
+    route = router.routes[source, destination, used] = cheapest_route(
+        router.frame, router.costs, source, destination, used, search
+    )
+    return route
+
+
 def _check_endpoints(frame: Frame, source: int, destination: int) -> None:
     for v in (source, destination):
         if not 0 <= v < len(frame.neighbours):
@@ -569,17 +591,19 @@ def allocate_batch(
     thresholds, route and score each (endpoints, residual network) once, and
     all routes toward one destination on one residual network share one
     resumed reverse search, which a graph whose node costs fell from the
-    previous graph's carries over.  Each call adds to :data:`counters`.
-    An endpoint that is no node of ``graph`` is a ``ValueError``.
+    previous graph's carries over.  A request that meets consumed edges
+    takes its route on ``graph`` itself when none of them lies on it (see
+    the module's docstring).  Each call adds to :data:`counters`.  An
+    endpoint that is no node of ``graph`` is a ``ValueError``.
     """
     ordered = sorted(requests, key=_theta)
     if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
         raise ValueError("request thetas must be exactly 1..P")
 
-    frame, used = network_frame(graph)
+    frame, start = network_frame(graph)
     router = _router(graph, frame, mapping, link_fidelity)
-    costs, routes = router.costs, router.routes
-    searches, served = router.searches, router.served
+    routes, served = router.routes, router.served
+    used = start
     counters.batches += 1
     counters.requests += len(ordered)
     allocations = []
@@ -593,13 +617,19 @@ def allocate_batch(
             if route is _UNROUTED:
                 # Both tables store a key only once it passed this check.
                 _check_endpoints(frame, source, destination)
-                counters.walks += 1
-                search = searches.get((destination, used))
-                if search is None:
-                    search = _take_search(router, destination, used)
-                route = routes[key] = cheapest_route(
-                    frame, costs, source, destination, used, search
-                )
+                route = routes.get((source, destination, start), _UNROUTED)
+                if route is _UNROUTED:
+                    route = _walk(router, source, destination, start)
+                if used != start:
+                    # Every path open on ``used`` is open on ``start``, so the
+                    # start route is the answer when it is None or avoids
+                    # every consumed edge; only otherwise does ``used`` need
+                    # a search of its own.
+                    if route is None or not route.edges & used:
+                        counters.certified += 1
+                        routes[key] = route
+                    else:
+                        route = _walk(router, source, destination, used)
             hit = served[key] = (route, None if route is None else router.fidelity(route))
         route, f = hit
         if route is None:

@@ -353,6 +353,15 @@ def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+def test_a_config_that_cannot_be_read_exits_2(tmp_path, capsys, name):
+    cfg = tmp_path / name
+    out = tmp_path / "never"
+    assert run(["blocking", *FAST, "--config", cfg, "--out-dir", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: cannot read the config file")
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

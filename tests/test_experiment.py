@@ -97,6 +97,23 @@ def test_config_validation():
     assert whole.n == 3 and whole.seed == 7
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eta_h", "0.9"), ("eta_l", None), ("link_fidelity", "x"), ("f_bar", None),
+    ("aware_weight", "1"), ("xi_values", [0.0, 1.0]),
+])
+def test_config_rejects_wrong_types_and_stays_hashable(field, value):
+    """A field of the wrong type is a ``ValueError`` that names it, not a
+    ``TypeError`` from inside a check, and xi values given as a list are
+    kept as a tuple, so the frozen config hashes."""
+    if field == "xi_values":
+        config = ExperimentConfig(xi_values=value)
+        assert config.xi_values == tuple(value)
+        assert hash(config) == hash(replace(config, xi_values=tuple(value)))
+        return
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+        ExperimentConfig(**{field: value})
+
+
 @pytest.mark.parametrize("start", [
     lambda: ExperimentConfig(n=2.5),
     lambda: ExperimentConfig(num_pair_draws=1.5),
@@ -652,6 +669,35 @@ def test_xi_order_and_repeats_change_no_point():
         assert record == run_trial(cfg, record.xi, 1, 2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_thresholds_taken_from_a_lower_ones_batch_match_single_threshold_runs(
+    monkeypatch, workers
+):
+    """A blocking study whose thresholds come out of order and repeat one
+    value gives, point for point, what one study per threshold gives,
+    although higher thresholds take every batch whose allocations all pass
+    them from the threshold below; every other batch is routed afresh."""
+    f_bars = (0.3, 0.0, 0.28, 0.3)
+    use_workers(monkeypatch, workers)
+    single = {f_bar: study_blocking(SMALL, (f_bar,)) for f_bar in f_bars}
+    # The thresholds split the trajectories: no two block alike.
+    assert len({tuple(p.blocking_probability for p in points) for points in single.values()}) == 3
+    monkeypatch.setattr(routing, "counters", routing.Counters())
+    points = study_blocking(SMALL, f_bars)
+    k = len(SMALL.xi_values)
+    assert points == tuple(
+        point for m in range(len(MAPPINGS)) for f_bar in f_bars
+        for point in single[f_bar][m * k:(m + 1) * k]
+    )
+    counted = routing.counters
+    per_threshold = len(MAPPINGS) * k * SMALL.num_pair_draws * SMALL.num_class_draws
+    assert counted.batches + counted.reused == len(f_bars) * per_threshold
+    # The lowest threshold is always routed and the repeated one never is;
+    # the two others route some batches and reuse others.
+    assert per_threshold < counted.batches < 3 * per_threshold
+    assert counted.reused > per_threshold
+
+
 def test_routing_counters_see_carried_searches(monkeypatch):
     """The routing counters count every batch and request of a sweep, and an
     aware sweep carries searches from one upgrade fraction to the next."""
@@ -683,9 +729,11 @@ def test_blocking_work_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(routing, "counters", routing.Counters())
     monkeypatch.setattr(routing, "_last", None)
     study_blocking(cfg)
+    # 936 batches: 470 are taken from a lower threshold, whose allocations
+    # all pass the next one, and only the 466 others are routed.
     assert routing.counters == routing.Counters(
-        batches=936, requests=4680, no_path=170, below_threshold=3736,
-        searches=195, carried=591, walks=985,
+        batches=466, requests=2330, no_path=105, below_threshold=1715, reused=470,
+        searches=150, carried=573, walks=1031, certified=149,
     )
     assert len(routing._last.scores) == 57
 
@@ -707,9 +755,12 @@ def test_stress_work_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(routing, "counters", routing.Counters())
     monkeypatch.setattr(routing, "_last", None)
     study_blocking(cfg, (0.53,))
+    # One threshold reuses no batch.  A residual request first walks the
+    # start network's route, which needs no search of its own when it
+    # avoids every consumed edge, so walks outnumber the searches saved.
     assert routing.counters == routing.Counters(
-        batches=252, requests=2520, no_path=34, below_threshold=2173,
-        searches=537, carried=419, walks=1227,
+        batches=252, requests=2520, no_path=34, below_threshold=2173, reused=0,
+        searches=409, carried=572, walks=1445, certified=143,
     )
     assert len(routing._last.scores) == 159
 
@@ -761,7 +812,10 @@ def all_studies(monkeypatch, cfg):
         study_blocking(cfg, (0.0, 0.3, 0.5)),
     )
     counted = routing.counters
-    return results, (counted.batches, counted.requests, counted.no_path, counted.below_threshold)
+    return results, (
+        counted.batches + counted.reused, counted.batches, counted.requests,
+        counted.no_path, counted.below_threshold,
+    )
 
 
 @pytest.mark.parametrize("draws", [1, 2, 3, 5])
@@ -773,8 +827,11 @@ def test_studies_are_bit_identical_at_any_worker_count(monkeypatch, draws):
     use_workers(monkeypatch, 1)
     serial, counts = all_studies(monkeypatch, cfg)
     batches = len(cfg.xi_values) * cfg.num_pair_draws * draws * (1 + 2 + 2 + 2 * 3)
-    assert counts[:2] == (batches, cfg.n * batches)
-    assert counts[2] > 0 and counts[3] > 0
+    # Every batch is routed or taken from a lower threshold, and only the
+    # routed ones serve requests.
+    assert counts[0] == batches and counts[1] < batches
+    assert counts[2] == cfg.n * counts[1]
+    assert counts[3] > 0 and counts[4] > 0
     for workers in (2, 3):
         use_workers(monkeypatch, workers)
         # Each worker folds one block of class draws, for both passes of

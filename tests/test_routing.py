@@ -510,12 +510,17 @@ def test_uniform_cost_graphs_share_one_route_table():
         (lq, UNIT), (lq, aware), (mixed, aware), (hq, aware),
         (lq, noise_aware_mapping(LQ.eta, 0.1)), (hq, UNIT),
     ]:
-        before = routing.counters.walks
+        counted = routing.counters
+        before = counted.walks, counted.certified
         memoised = allocate_batch(graph, reqs, mapping, 0.0, 0.975)
         assert memoised == reference_batch(graph, reqs, mapping, 0.0, 0.975)
-        walked.append(routing.counters.walks - before)
-    assert walked[0] == len(reqs) and walked[2] > 0
-    assert walked[1] == walked[3] == walked[4] == walked[5] == 0
+        walked.append((counted.walks - before[0], counted.certified - before[1]))
+    # The first request walks its route on the start network, and so does
+    # each of the three later ones, on a residual network.  One of those
+    # start routes avoids the consumed edges and is the answer; the other
+    # two cross one and walk a residual route too: 1 + 3 + 2 walks.
+    assert walked[0] == (6, 1) and walked[2][0] > 0
+    assert walked[1] == walked[3] == walked[4] == walked[5] == (0, 0)
 
 WEIGHTS = (
     UNIT,
@@ -626,10 +631,49 @@ def test_repaired_searches_match_brute_force(residuals, mapping, data):
             assert all(taken) if phase == 1 or not costs_move else not any(taken)
 
 
+def without_edges(graph, edges):
+    residual = graph.copy()
+    for u, v in edges:
+        residual.adjacency[u].discard(v)
+        residual.adjacency[v].discard(u)
+    return residual
+
+
+@settings(max_examples=60)
+@given(residual_networks(), st.sampled_from(WEIGHTS), st.data())
+def test_a_start_route_that_avoids_the_consumed_edges_is_the_residual_route(
+    residuals, mapping, data
+):
+    """A route on a start network that no consumed edge lies on is the
+    exhaustive optimum on the residual network, and a start network with no
+    route leaves none on the residual; a batch whose second request meets
+    the edges its first consumed routes as the oracle does either way."""
+    start = residuals[0]
+    sources = [start.source_id(r) for r in range(start.n)]
+    destinations = [start.destination_id(r) for r in range(start.n)]
+    source, other = data.draw(st.permutations(sources))[:2]
+    destination, far = data.draw(st.permutations(destinations))[:2]
+    consumed = data.draw(st.sets(st.sampled_from(list(start.edges()))))
+    residual = without_edges(start, consumed)
+    path = shortest_path(start, source, destination, mapping)
+    want = exhaustive_best(residual, source, destination, mapping)
+    if path is None:
+        assert want is None
+    elif not {frozenset(e) for e in itertools.pairwise(path)} & set(map(frozenset, consumed)):
+        assert want[1] == path
+
+    routing._last = None
+    first, second = RoutingRequest(other, far, 1), RoutingRequest(source, destination, 2)
+    [taken, allocation], _ = allocate_batch(start, [first, second], mapping, 0.0, 0.975)
+    met = without_edges(start, itertools.pairwise(taken.path or ()))
+    want = exhaustive_best(met, source, destination, mapping)
+    assert allocation.path == (None if want is None else want[1])
+
+
 def test_a_blocking_class_draw_routes_as_the_oracle_does():
     """Class draw 0 of the default ``blocking`` study (cylinder, n=5, both
     mappings, all 26 xi, every default threshold, 5 pairings: 780 batches
-    through the trial engine) matches the exhaustive oracle request by
+    through the trial engine, those a higher threshold reuses included) matches the exhaustive oracle request by
     request, on the residual network each request meets: the oracle's path
     is allocated when its score reaches the threshold, ``BELOW_THRESHOLD``
     is reported when it does not, and ``NO_PATH`` exactly when there is no
