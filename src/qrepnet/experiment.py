@@ -480,16 +480,13 @@ def _quantile(values: Sequence[float], cumulative: Sequence[int], q: float) -> f
 
 @dataclass(frozen=True)
 class FiveNumberSummary:
-    """Box-plot numbers: quartiles plus Tukey whiskers at 1.5 IQR fences."""
+    """The minimum, the quartiles and the maximum of a sample."""
 
     minimum: float
     q1: float
     median: float
     q3: float
     maximum: float
-    lower_whisker: float
-    upper_whisker: float
-    num_outliers: int
 
     @classmethod
     def from_counts(cls, counts: Mapping[float, int]) -> "FiveNumberSummary":
@@ -501,18 +498,7 @@ class FiveNumberSummary:
         values = sorted(counts)
         cumulative = list(accumulate(int(counts[v]) for v in values))
         q1, median, q3 = (_quantile(values, cumulative, q) for q in (0.25, 0.5, 0.75))
-        iqr = q3 - q1
-        inside = [v for v in values if q1 - 1.5 * iqr <= v <= q3 + 1.5 * iqr]
-        return cls(
-            minimum=values[0],
-            q1=q1,
-            median=median,
-            q3=q3,
-            maximum=values[-1],
-            lower_whisker=inside[0],
-            upper_whisker=inside[-1],
-            num_outliers=cumulative[-1] - sum(int(counts[v]) for v in inside),
-        )
+        return cls(values[0], q1, median, q3, values[-1])
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,13 @@ graph served.  Two tables live while the frame is the same: the fewest-hop
 routes, which every graph whose transport nodes all cost the same shares
 (uniform costs route by fewest hops at any scale), and the fidelity per
 link fidelity and (noise rate, node count) of each class.  The graph's
-other routes, its (route, fidelity) served per (source, destination,
-residual mask) and its resumable reverse searches per (destination,
-residual mask) die with it; only the searches pass to the next graph,
-while the mapping is the same and no node cost rises, repaired on first
-use, so the searches of two graphs at most are alive.
+other routes, per (source, destination, residual mask), and its
+resumable reverse searches per (destination, residual mask) die with it;
+only the searches pass to the next graph, while the mapping is the same
+and no node cost rises, repaired on first use, so the searches of two
+graphs at most are alive.  A request reads its route from the route
+table and is scored through the score memo, so nothing else is stored
+per request.
 A request on a residual network first takes the route on the batch's start
 network: every path open on the residual network is open there too, so
 when no consumed edge lies on that route, or there is none, it is the
@@ -391,12 +393,13 @@ class _Router(NamedTuple):
     ``hops`` and ``scores`` belong to the frame: the route table for
     transport costs that are all equal, which is ``routes`` on such a
     graph, and the score memo of :func:`_fidelity_scorer`, which
-    ``fidelity`` fills.  The rest belong to this graph.  ``searches`` maps
-    (destination, residual mask) to its :class:`Search`, and ``served``
-    maps (source, destination, residual mask) to the (route, fidelity)
-    served on it.  ``carried`` is the previous graph's ``searches``, which
-    this graph may take over after putting the nodes ``lowered``, whose
-    costs fell, back into the buckets of their labels.
+    ``fidelity`` fills.  The rest belong to this graph.  ``routes`` maps
+    (source, destination, residual mask) to its route, or ``None`` when
+    there is none, and ``searches`` maps (destination, residual mask) to
+    its :class:`Search`.  ``carried`` is the previous graph's
+    ``searches``, which this graph may take over after putting the nodes
+    ``lowered``, whose costs fell, back into the buckets of their
+    labels.
     """
 
     classes: tuple[NoiseClass | None, ...]
@@ -408,7 +411,6 @@ class _Router(NamedTuple):
     scores: dict
     fidelity: Callable[[Route], float]
     searches: dict
-    served: dict
     carried: dict
     lowered: tuple[int, ...]
     hops: dict
@@ -426,7 +428,8 @@ class Counters:
     ``walks`` the routes computed, ``searches`` the reverse searches
     started afresh, ``carried`` those taken over from the previous classed
     graph and repaired, and ``certified`` the residual routes answered by
-    the route on the batch's start network.  A served hit counts nothing.
+    the route on the batch's start network.  A route-table hit counts
+    nothing.
     """
 
     batches: int = 0
@@ -452,7 +455,7 @@ _last: _Router | None = None
 def _router(
     graph: NetworkGraph, frame: Frame, mapping: WeightMapping, link_fidelity: float
 ) -> _Router:
-    """Node costs, route memo and scorer for a classed graph.
+    """Node costs, route table and scorer for a classed graph.
 
     The graph's two noise rates, node flags and costs come from
     :func:`_two_classes`, which rejects an unclassed transport node or a
@@ -491,7 +494,7 @@ def _router(
     scorer = _fidelity_scorer(rates, flags, graph.num_transport, link_fidelity, scores)
     _last = _Router(
         graph.classes, frame, mapping, link_fidelity, costs, routes, scores, scorer,
-        {}, {}, carried, lowered, hops,
+        {}, carried, lowered, hops,
     )
     return _last
 
@@ -585,13 +588,15 @@ def allocate_batch(
     """Serve the requests in establishment order on a residual view of ``graph``.
 
     Returns the allocations in establishment order together with the number
-    of blocked requests.  ``graph`` itself is never mutated.  Routes and
-    fidelities come from the module's memo of the last classed graph (see
-    :func:`_router`), so consecutive calls on one graph, whatever their
-    thresholds, route and score each (endpoints, residual network) once, and
+    of blocked requests.  ``graph`` itself is never mutated.  Routes come
+    from the route table of the module's memo of the last classed graph
+    (see :func:`_router`), so consecutive calls on one graph, whatever
+    their thresholds, route each (endpoints, residual network) once, and
     all routes toward one destination on one residual network share one
     resumed reverse search, which a graph whose node costs fell from the
-    previous graph's carries over.  A request that meets consumed edges
+    previous graph's carries over.  Each routed request is scored through
+    the frame's score memo, so a route is scored once per (link fidelity,
+    class counts).  A request that meets consumed edges
     takes its route on ``graph`` itself when none of them lies on it (see
     the module's docstring).  Each call adds to :data:`counters`.  An
     endpoint that is no node of ``graph`` is a ``ValueError``.
@@ -602,7 +607,7 @@ def allocate_batch(
 
     frame, start = network_frame(graph)
     router = _router(graph, frame, mapping, link_fidelity)
-    routes, served = router.routes, router.served
+    routes, fidelity = router.routes, router.fidelity
     used = start
     counters.batches += 1
     counters.requests += len(ordered)
@@ -611,31 +616,27 @@ def allocate_batch(
     for request in ordered:
         source, destination = request.source, request.destination
         key = (source, destination, used)
-        hit = served.get(key)
-        if hit is None:
-            route = routes.get(key, _UNROUTED)
+        route = routes.get(key, _UNROUTED)
+        if route is _UNROUTED:
+            # The table stores a key only once it passed this check.
+            _check_endpoints(frame, source, destination)
+            route = routes.get((source, destination, start), _UNROUTED)
             if route is _UNROUTED:
-                # Both tables store a key only once it passed this check.
-                _check_endpoints(frame, source, destination)
-                route = routes.get((source, destination, start), _UNROUTED)
-                if route is _UNROUTED:
-                    route = _walk(router, source, destination, start)
-                if used != start:
-                    # Every path open on ``used`` is open on ``start``, so the
-                    # start route is the answer when it is None or avoids
-                    # every consumed edge; only otherwise does ``used`` need
-                    # a search of its own.
-                    if route is None or not route.edges & used:
-                        counters.certified += 1
-                        routes[key] = route
-                    else:
-                        route = _walk(router, source, destination, used)
-            hit = served[key] = (route, None if route is None else router.fidelity(route))
-        route, f = hit
+                route = _walk(router, source, destination, start)
+            if used != start:
+                # Every path open on ``used`` is open on ``start``, so the
+                # start route is the answer when it is None or avoids
+                # every consumed edge; only otherwise does ``used`` need
+                # a search of its own.
+                if route is None or not route.edges & used:
+                    counters.certified += 1
+                    routes[key] = route
+                else:
+                    route = _walk(router, source, destination, used)
         if route is None:
             reason = BlockReason.NO_PATH
             no_path += 1
-        elif f >= fidelity_threshold:
+        elif (f := fidelity(route)) >= fidelity_threshold:
             used |= route.edges
             allocations.append(PathAllocation(request, route.path, f, None))
             continue

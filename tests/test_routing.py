@@ -1,7 +1,6 @@
 """Tests for node-weighted shortest paths and sequential batch allocation."""
 
 import itertools
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -34,7 +33,8 @@ from qrepnet import (
 )
 from qrepnet import experiment, routing
 from qrepnet.routing import integer_costs
-from qrepnet.topology import NodeKind
+
+from oracles import branch_and_bound_best, node_weight
 
 HQ = NoiseClass("HQ", 0.999)
 LQ = NoiseClass("LQ", 0.8)
@@ -44,13 +44,6 @@ UNIT = noise_unaware_mapping()
 def all_lq(topology, n):
     g = build_network(topology, n)
     return g.with_classes({v: LQ for v in range(g.num_transport)})
-
-
-def node_weight(graph, v, mapping):
-    """The exact weight of a node, as a fraction, so path costs sum without rounding."""
-    if graph.kinds[v] is not NodeKind.TRANSPORT:
-        return Fraction(0)
-    return Fraction(mapping(graph.classes[v].eta))
 
 
 def brute_force_best(graph, source, destination, mapping):
@@ -70,61 +63,6 @@ def brute_force_best(graph, source, destination, mapping):
         if best is None or key < best:
             best = key
     return best
-
-
-def branch_and_bound_best(graph, source, destination, mapping):
-    """Minimum (cost, path) over all simple paths, or None if disconnected.
-
-    The same exhaustive reference as :func:`brute_force_best`, fast enough
-    for n=5: a depth-first search over simple paths, neighbours in
-    increasing id order, so complete paths come in lexicographic order.
-    Costs are exact: the ``Fraction`` weights are summed as integers over
-    their common denominator.  A path from a node ``hops`` edges from the
-    destination (by breadth-first search) enters ``hops - 1`` transport
-    nodes before it, since tier nodes are leaves, so a partial path is
-    pruned once its cost plus that many least transport weights reaches the
-    best cost found.  Pruning on equality is safe, because a later path of
-    equal cost is lexicographically larger.
-    """
-    exact = [node_weight(graph, v, mapping) for v in range(graph.num_nodes)]
-    scale = math.lcm(*(w.denominator for w in exact))
-    weights = [int(w * scale) for w in exact]
-    least = min(weights[: graph.num_transport])
-    hops = {destination: 0}
-    queue = [destination]
-    for v in queue:  # the queue grows while it is read
-        for w in graph.adjacency[v]:
-            if w not in hops:
-                hops[w] = hops[v] + 1
-                queue.append(w)
-    if source not in hops:
-        return None
-    ahead = {v: max(h - 1, 0) * least for v, h in hops.items()}
-    onward = {v: sorted(graph.adjacency[v]) for v in hops}
-    path = [source]
-    on_path = {source}
-    best = None
-
-    def extend(cost):
-        nonlocal best
-        v = path[-1]
-        if v == destination:
-            best = (cost, tuple(path))
-            return
-        for w in onward[v]:
-            if w in on_path:
-                continue
-            through = cost + weights[w]
-            if best is not None and through + ahead[w] >= best[0]:
-                continue
-            path.append(w)
-            on_path.add(w)
-            extend(through)
-            on_path.remove(w)
-            path.pop()
-
-    extend(0)
-    return None if best is None else (Fraction(best[0], scale), best[1])
 
 
 def exhaustive_best(graph, source, destination, mapping):
@@ -440,7 +378,8 @@ def test_routing_memo_changes_nothing():
         pairs = [(g.source_id(r), g.destination_id(r)) for r in range(3)]
         reqs = shuffle_requests(pairs, np.random.default_rng(8))
         want = reference_batch(g, reqs, UNIT, 0.0, 0.975)
-        # The second call on the same graph is served from the memo.
+        # The second call on the same graph reads its routes from the
+        # route table and its scores from the score memo.
         assert allocate_batch(g, reqs, UNIT, 0.0, 0.975) == want
         assert allocate_batch(g, reqs, UNIT, 0.0, 0.975) == want
         assert routing._last.routes
