@@ -36,13 +36,14 @@ from .routing import (
 from .experiment import (
     AWARE,
     COARSE_XI_GRID,
+    DEFAULT_ETA_L_VALUES,
+    DEFAULT_F_BAR_VALUES,
     DEFAULT_SEED,
     MAPPINGS,
     UNAWARE,
     BlockingPoint,
     RequestOutcome,
     ExperimentConfig,
-    FiveNumberSummary,
     SampleStats,
     SweepSummary,
     ThetaProfile,

@@ -223,9 +223,8 @@ _FIDELITY_COLUMNS = ["xi", "path_node_count", "mean_fidelity",
                      "min", "q1", "median", "q3", "max", "n_samples"]
 
 
-def _stat_row(stats: SampleStats) -> list:
-    s = stats.summary
-    return [stats.mean, s.minimum, s.q1, s.median, s.q3, s.maximum, stats.count]
+def _stat_row(s: SampleStats) -> list:
+    return [s.mean, s.minimum, s.q1, s.median, s.q3, s.maximum, s.count]
 
 
 # A CSV a study writes: file name, header and rows.
@@ -241,11 +240,12 @@ def _topology_tables(cfg: ExperimentConfig, _values: tuple[float, ...]) -> list[
         for x in summary.per_xi:
             for node_count, stats in x.by_path_nodes.items():
                 fidelity_rows.append([topology, x.xi, node_count, *_stat_row(stats)])
+        total = summary.total
         summary_rows.append([
             topology,
-            summary.overall_mean_fidelity,
-            summary.overall_mean_path_nodes,
-            summary.overall_blocking_probability,
+            total.fidelity.mean if total.fidelity else None,
+            total.mean_path_nodes,
+            total.blocking_probability,
         ])
     return [
         ("fidelity_vs_xi.csv", ["topology", *_FIDELITY_COLUMNS], fidelity_rows),

@@ -75,7 +75,6 @@ __all__ = [
     "UNAWARE",
     "BlockingPoint",
     "ExperimentConfig",
-    "FiveNumberSummary",
     "RequestOutcome",
     "SampleStats",
     "SweepSummary",
@@ -464,8 +463,8 @@ def run_trial(
 
 
 def _quantile(values: Sequence[float], cumulative: Sequence[int], q: float) -> float:
-    """``np.quantile`` of the sample with sorted distinct ``values`` and
-    ``cumulative`` counts, bit for bit: numpy's linear method, step by step."""
+    """numpy's ``quantile`` of the sample with sorted distinct ``values``
+    and ``cumulative`` counts, bit for bit: its linear method, step by step."""
     n = cumulative[-1]
     h = (n - 1) * q
     if h >= n - 1:
@@ -479,33 +478,16 @@ def _quantile(values: Sequence[float], cumulative: Sequence[int], q: float) -> f
 
 
 @dataclass(frozen=True)
-class FiveNumberSummary:
-    """The minimum, the quartiles and the maximum of a sample."""
+class SampleStats:
+    """The size, mean, minimum, quartiles and maximum of a sample."""
 
+    count: int
+    mean: float
     minimum: float
     q1: float
     median: float
     q3: float
     maximum: float
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[float, int]) -> "FiveNumberSummary":
-        """Summarise the sample in which each value occurs ``counts[value]`` times."""
-        if not counts or not all(map(isfinite, counts)):
-            raise ValueError("can only summarise a non-empty sample of finite values")
-        if not all(isinstance(k, Integral) and k > 0 for k in counts.values()):
-            raise ValueError(f"counts must be positive whole numbers, got {counts!r}")
-        values = sorted(counts)
-        cumulative = list(accumulate(int(counts[v]) for v in values))
-        q1, median, q3 = (_quantile(values, cumulative, q) for q in (0.25, 0.5, 0.75))
-        return cls(values[0], q1, median, q3, values[-1])
-
-
-@dataclass(frozen=True)
-class SampleStats:
-    count: int
-    mean: float
-    summary: FiveNumberSummary
 
     @classmethod
     def from_samples(cls, values: Sequence[float]) -> "SampleStats":
@@ -516,20 +498,28 @@ class SampleStats:
         """Stats of the sample in which each value occurs ``counts[value]`` times.
 
         The mean is exact, rounded once: over the values' common binary
-        denominator they sum as integers, in any order of counting."""
-        summary = FiveNumberSummary.from_counts(counts)
-        ratios = [(value.as_integer_ratio(), int(k)) for value, k in counts.items()]
-        count = sum(k for _, k in ratios)
-        scale = lcm(*(q for (_, q), _ in ratios))
-        total = sum(p * (scale // q) * k for (p, q), k in ratios)
-        return cls(count=count, mean=total / (scale * count), summary=summary)
+        denominator they sum as integers, in any order of counting.  The
+        quartiles are numpy's, bit for bit (:func:`_quantile`)."""
+        if not counts or not all(map(isfinite, counts)):
+            raise ValueError("can only summarise a non-empty sample of finite values")
+        if not all(isinstance(k, Integral) and k > 0 for k in counts.values()):
+            raise ValueError(f"counts must be positive whole numbers, got {counts!r}")
+        values = sorted(counts)
+        cumulative = list(accumulate(int(counts[v]) for v in values))
+        count = cumulative[-1]
+        ratios = [v.as_integer_ratio() for v in values]
+        scale = lcm(*(q for _, q in ratios))
+        total = sum(p * (scale // q) * int(counts[v]) for (p, q), v in zip(ratios, values))
+        q1, median, q3 = (_quantile(values, cumulative, q) for q in (0.25, 0.5, 0.75))
+        return cls(count, total / (scale * count), values[0], q1, median, q3, values[-1])
 
 
 @dataclass(frozen=True)
 class XiSummary:
-    """Aggregates of all trials at one upgrade fraction."""
+    """Aggregates of all trials at one upgrade fraction, or, with ``xi``
+    ``None``, of all trials of a sweep."""
 
-    xi: float
+    xi: float | None
     num_requests: int
     num_blocked: int
     fidelity: SampleStats | None
@@ -543,41 +533,19 @@ class XiSummary:
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """A sweep's aggregates per upgrade fraction and pooled over all of them."""
+
     config: ExperimentConfig
     per_xi: tuple[XiSummary, ...]
-
-    @property
-    def overall_blocking_probability(self) -> float:
-        total = sum(x.num_requests for x in self.per_xi)
-        return sum(x.num_blocked for x in self.per_xi) / total
-
-    @property
-    def overall_mean_fidelity(self) -> float | None:
-        total = 0
-        acc = 0.0
-        for x in self.per_xi:
-            if x.fidelity is not None:
-                acc += x.fidelity.mean * x.fidelity.count
-                total += x.fidelity.count
-        return acc / total if total else None
-
-    @property
-    def overall_mean_path_nodes(self) -> float | None:
-        total = 0
-        acc = 0.0
-        for x in self.per_xi:
-            allocated = x.num_requests - x.num_blocked
-            if x.mean_path_nodes is not None:
-                acc += x.mean_path_nodes * allocated
-                total += allocated
-        return acc / total if total else None
+    total: XiSummary
 
 
 def _xi_summary(
-    xi: float, num_requests: int, histogram: Mapping[tuple[int, float], int]
+    xi: float | None, num_requests: int, histogram: Mapping[tuple[int, float], int]
 ) -> XiSummary:
-    """Stats of one upgrade fraction from its (path node count, fidelity)
-    counts; every request the histogram lacks was blocked."""
+    """Stats of ``num_requests`` requests from the (path node count,
+    fidelity) counts of those allocated; every request the histogram lacks
+    was blocked."""
     by_nodes: dict[int, Counter[float]] = {}
     for (nodes, fidelity), count in sorted(histogram.items()):
         by_nodes.setdefault(nodes, Counter())[fidelity] = count
@@ -617,7 +585,8 @@ def _fold_histograms(
 
 
 def sweep_xi(config: ExperimentConfig) -> SweepSummary:
-    """Run the full trial grid of a config and aggregate per upgrade fraction.
+    """Run the full trial grid of a config and aggregate it per upgrade
+    fraction and pooled over all of them, each from its exact counts.
 
     Like every study, it may fork workers to fold its class draws (Linux
     only, with more CPUs than one and no other thread running).
@@ -625,8 +594,12 @@ def sweep_xi(config: ExperimentConfig) -> SweepSummary:
     xi_values = config.resolved_xi()
     _warn_off_grid(xi_values, config.n)
     [merged] = _map_draws(_fold_histograms, [config], xi_values, (config.f_bar,))
-    m = len(xi_values)
-    return SweepSummary(config, tuple(map(_xi_summary, xi_values, merged[:m], merged[m:])))
+    requests, histograms = merged[:len(xi_values)], merged[len(xi_values):]
+    return SweepSummary(
+        config,
+        tuple(map(_xi_summary, xi_values, requests, histograms)),
+        _xi_summary(None, sum(requests), sum(histograms, Counter())),
+    )
 
 
 def sweep_eta_l(
@@ -658,7 +631,7 @@ class ThetaProfile:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.fidelities))
+        return SampleStats.from_samples(self.fidelities).mean
 
 
 def _fold_samples(

@@ -112,9 +112,15 @@ def two_class_fidelity(
     every route the router serves:
 
         F = 1/4 * (1 + 3 * nu_h**n_h * nu_l**n_l * w**(n_h + n_l + 1))
+
+    The factor of the higher noise rate (at equal rates, of the larger
+    count) is multiplied in first, so the value is the same to the bit
+    whichever class is called high quality.
     """
     if n_h < 0 or n_l < 0:
         raise ValueError("node counts must be non-negative")
+    if (eta_l, n_l) > (eta_h, n_h):
+        n_h, n_l, eta_h, eta_l = n_l, n_h, eta_l, eta_h
     nu_h = swap_noise_factor(eta_h)
     nu_l = swap_noise_factor(eta_l)
     w = werner_parameter(link_fidelity)

@@ -112,6 +112,20 @@ MUTANTS = (
         "for passes in zip(*blocks[::-1])]",
         "CHANGES.md line 17: noise-awareness blocks merged in reverse order",
     ),
+    Mutant(
+        "pool the sweep total without the last xi",
+        EXPERIMENT,
+        "_xi_summary(None, sum(requests), sum(histograms, Counter())),",
+        "_xi_summary(None, sum(requests), sum(histograms[:-1], Counter())),",
+        "CHANGES.md line 47: the sweep total built without the last xi's histogram",
+    ),
+    Mutant(
+        "take a theta mean by a float sum",
+        EXPERIMENT,
+        "return SampleStats.from_samples(self.fidelities).mean",
+        "return float(np.mean(self.fidelities))",
+        "CHANGES.md line 47: the parent's `np.mean` of a theta profile",
+    ),
 )
 
 

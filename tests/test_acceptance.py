@@ -373,7 +373,7 @@ def test_criterion_06_low_xi_dead_zone(default_sweeps, exact):
     for topology, cutoff in cutoffs.items():
         low = [x for x in default_sweeps[topology].per_xi if x.xi < cutoff]
         exact_excess[topology] = max(exact[topology].median(x.xi) for x in low) - 0.25
-        sampled_excess[topology] = max(x.fidelity.summary.median for x in low) - 0.25
+        sampled_excess[topology] = max(x.fidelity.median for x in low) - 0.25
     ok = all(e < 0.05 for e in (*exact_excess.values(), *sampled_excess.values()))
     record_criterion(
         6, ok,
@@ -615,12 +615,12 @@ def test_low_xi_medians_hug_the_fidelity_floor(default_sweeps):
     for topology, cutoff in ((GRID, 0.32), (CYLINDER, 0.36)):
         for x in default_sweeps[topology].per_xi:
             if x.xi < cutoff:
-                assert 0.25 < x.fidelity.summary.median < 0.30
+                assert 0.25 < x.fidelity.median < 0.30
 
 
 def test_median_fidelity_jumps_sharply_in_the_bottleneck_window(default_sweeps):
     for topology in (GRID, CYLINDER):
-        medians = [x.fidelity.summary.median for x in default_sweeps[topology].per_xi]
+        medians = [x.fidelity.median for x in default_sweeps[topology].per_xi]
         steps = [
             medians[i + 1] / medians[i] - 1.0
             for i in range(xi_index(0.72), xi_index(0.96))

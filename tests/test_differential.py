@@ -26,7 +26,6 @@ from qrepnet import (
     MAPPINGS,
     BlockingPoint,
     ExperimentConfig,
-    FiveNumberSummary,
     SampleStats,
     SweepSummary,
     ThetaProfile,
@@ -52,9 +51,6 @@ def reference_batches(config, xi):
     ``xi``, class draw by class draw, then pairing by pairing, then in
     establishment order; a blocked request has no path and no fidelity."""
     hq, lq = config.hq_class(), config.lq_class()
-    # Scores take the class of the higher noise rate first, the documented
-    # rule, which ``two_class_fidelity`` can tell apart in the last bit.
-    high, low = sorted((hq, lq), key=lambda cls: (-cls.eta, cls.label))
     mapping = config.weight_mapping()
     base = build_network(config.topology, config.n)
     served = []
@@ -74,7 +70,7 @@ def reference_batches(config, xi):
                 if found is not None:
                     counts = path_composition(graph, found[1])
                     score = two_class_fidelity(
-                        counts.get(high, 0), counts.get(low, 0), high.eta, low.eta,
+                        counts.get(hq, 0), counts.get(lq, 0), hq.eta, lq.eta,
                         config.link_fidelity,
                     )
                     if score >= config.f_bar:
@@ -92,7 +88,7 @@ def reference_stats(values):
     return SampleStats(
         len(values),
         float(sum(map(Fraction, values)) / len(values)),
-        FiveNumberSummary(min(values), q1, median, q3, max(values)),
+        min(values), q1, median, q3, max(values),
     )
 
 
@@ -105,22 +101,30 @@ def reference_blocking(config, f_bars):
     return tuple(points)
 
 
+def reference_summary(xi, served):
+    """The stats of the requests ``served``, as ``reference_batches`` lists them."""
+    allocated = [(len(path), f) for _, _, path, f in served if path is not None]
+    by_nodes = {
+        nodes: reference_stats([f for k, f in allocated if k == nodes])
+        for nodes in sorted({k for k, _ in allocated})
+    }
+    return XiSummary(
+        xi, len(served), len(served) - len(allocated),
+        reference_stats([f for _, f in allocated]) if allocated else None,
+        sum(k for k, _ in allocated) / len(allocated) if allocated else None,
+        by_nodes,
+    )
+
+
 def reference_sweep(config):
-    per_xi = []
-    for xi in config.resolved_xi():
-        served = reference_batches(config, xi)
-        allocated = [(len(path), f) for _, _, path, f in served if path is not None]
-        by_nodes = {
-            nodes: reference_stats([f for k, f in allocated if k == nodes])
-            for nodes in sorted({k for k, _ in allocated})
-        }
-        per_xi.append(XiSummary(
-            xi, len(served), len(served) - len(allocated),
-            reference_stats([f for _, f in allocated]) if allocated else None,
-            sum(k for k, _ in allocated) / len(allocated) if allocated else None,
-            by_nodes,
-        ))
-    return SweepSummary(config, tuple(per_xi))
+    """Each xi's stats, then the stats of every request of every xi pooled."""
+    xi_values = config.resolved_xi()
+    served = [reference_batches(config, xi) for xi in xi_values]
+    return SweepSummary(
+        config,
+        tuple(map(reference_summary, xi_values, served)),
+        reference_summary(None, list(itertools.chain.from_iterable(served))),
+    )
 
 
 def reference_noise_awareness(config):

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import inspect
 import itertools
 import math
 import os
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qrepnet import (
@@ -28,8 +29,9 @@ from qrepnet import (
     UNAWARE,
     BlockReason,
     ExperimentConfig,
-    FiveNumberSummary,
     SampleStats,
+    ThetaProfile,
+    XiSummary,
     default_xi_grid,
     draw_pairing,
     run_trial,
@@ -42,6 +44,7 @@ from qrepnet import (
     sweep_xi,
     two_class_fidelity,
 )
+import qrepnet
 from qrepnet import experiment, routing
 from qrepnet.routing import (
     _fidelity_scorer, _two_classes, allocate_batch, cheapest_route, network_frame
@@ -143,6 +146,18 @@ def test_draw_pairing_is_a_bijection_and_reproducible():
     assert len(seen) > 1
 
 
+def test_the_package_root_exports_every_public_name():
+    """``qrepnet`` re-exports each name of every module's ``__all__``, the
+    same object, and nothing else but its modules and version."""
+    modules = (qrepnet.fidelity, qrepnet.topology, qrepnet.routing, qrepnet.experiment)
+    public = {name: getattr(m, name) for m in modules for name in m.__all__}
+    exported = {
+        name: value for name, value in vars(qrepnet).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == public
+
+
 def test_run_trial_is_deterministic():
     a = run_trial(SMALL, 0.4, 1, 3)
     b = run_trial(SMALL, 0.4, 1, 3)
@@ -178,6 +193,25 @@ def test_every_allocated_fidelity_is_the_two_class_closed_form():
                             o.n_h, o.n_l, cfg.eta_h, cfg.eta_l, cfg.link_fidelity
                         )
     assert any(n_h and n_l for n_h, n_l in seen) and any(not n_l for _, n_l in seen)
+
+
+def test_swapped_noise_rates_report_the_closed_form_in_the_configs_labels():
+    """With ``eta_l`` above ``eta_h`` the router takes the config's
+    low-quality class as its high-quality one, yet every fidelity a trial
+    reports is ``two_class_fidelity`` of the outcome's own ``n_h`` and
+    ``n_l``, in the config's labels, bit for bit."""
+    cfg = replace(SMALL, eta_h=0.8, eta_l=0.999, link_fidelity=1.0, num_class_draws=4)
+    mixed = 0
+    for xi in (0.2, 0.4, 0.6, 0.8):
+        for pairing in range(cfg.num_pair_draws):
+            for draw in range(cfg.num_class_draws):
+                for o in run_trial(cfg, xi, pairing, draw).outcomes:
+                    if o.blocked is None:
+                        mixed += bool(o.n_h and o.n_l)
+                        assert o.fidelity == two_class_fidelity(
+                            o.n_h, o.n_l, cfg.eta_h, cfg.eta_l, cfg.link_fidelity
+                        )
+    assert mixed
 
 
 def test_all_high_quality_at_full_upgrade():
@@ -225,7 +259,7 @@ def test_sweep_matches_trials_sample_for_sample():
         assert xi_summary.num_blocked == blocked
         assert xi_summary.num_requests == SMALL.num_pair_draws * SMALL.num_class_draws * 5
         assert xi_summary.fidelity.count == len(samples)
-        got, want = xi_summary.fidelity.summary, FiveNumberSummary.from_counts(Counter(samples))
+        got, want = xi_summary.fidelity, SampleStats.from_counts(Counter(samples))
         assert (got.minimum, got.q1, got.median, got.q3, got.maximum) == (
             want.minimum, want.q1, want.median, want.q3, want.maximum,
         )
@@ -241,7 +275,7 @@ def test_aware_unit_weight_detour_matches_unaware():
     for a, b in zip(fast.per_xi, slow.per_xi):
         assert a.num_blocked == b.num_blocked
         assert a.fidelity.count == b.fidelity.count
-        ga, gb = a.fidelity.summary, b.fidelity.summary
+        ga, gb = a.fidelity, b.fidelity
         assert (ga.minimum, ga.q1, ga.median, ga.q3, ga.maximum) == (
             gb.minimum, gb.q1, gb.median, gb.q3, gb.maximum,
         )
@@ -256,7 +290,7 @@ def test_mean_fidelity_is_monotone_in_xi():
     for lo, hi in zip(means, means[1:]):
         assert hi >= lo - 1e-12
     assert means[-1] > means[0]
-    medians = [x.fidelity.summary.median for x in summary.per_xi]
+    medians = [x.fidelity.median for x in summary.per_xi]
     for lo, hi in zip(medians, medians[1:]):
         assert hi >= lo - 1e-12
 
@@ -269,9 +303,7 @@ def test_equal_noise_rates_make_xi_irrelevant():
         assert x.num_blocked == ref.num_blocked
         assert x.fidelity.count == ref.fidelity.count
         assert x.fidelity.mean == pytest.approx(ref.fidelity.mean, abs=1e-12)
-        assert x.fidelity.summary.median == pytest.approx(
-            ref.fidelity.summary.median, abs=1e-12
-        )
+        assert x.fidelity.median == pytest.approx(ref.fidelity.median, abs=1e-12)
 
 
 def test_aware_mapping_routes_as_unaware_at_equal_noise_rates():
@@ -591,32 +623,32 @@ def test_sweep_graphs_share_the_routing_frame_adjacency():
 def test_stats_helpers():
     s = SampleStats.from_samples([1.0, 2.0, 3.0, 4.0, 100.0])
     assert s.count == 5
-    assert s.summary.maximum == 100.0
-    assert (s.summary.q1, s.summary.median, s.summary.q3) == (2.0, 3.0, 4.0)
+    assert s.maximum == 100.0
+    assert (s.q1, s.median, s.q3) == (2.0, 3.0, 4.0)
     with pytest.raises(ValueError):
-        FiveNumberSummary.from_counts(Counter())
+        SampleStats.from_counts(Counter())
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             SampleStats.from_samples([0.5, bad, 0.7])
         with pytest.raises(ValueError, match="finite"):
-            FiveNumberSummary.from_counts({0.5: 2, bad: 1})
+            SampleStats.from_counts({0.5: 2, bad: 1})
     # Each value must occur a positive whole number of times: a negative
     # count gave a mean outside the sample, a zero one a maximum that never
     # occurs or an empty sample, and a fractional one a fractional count.
     for counts in ({0.5: 2, 0.7: -1}, {0.5: 2, 0.7: 0}, {0.5: 0}, {0.5: 1.5}):
-        for summarise in (FiveNumberSummary.from_counts, SampleStats.from_counts):
-            with pytest.raises(ValueError, match="counts must be"):
-                summarise(counts)
+        with pytest.raises(ValueError, match="counts must be"):
+            SampleStats.from_counts(counts)
     numpy_counts = SampleStats.from_counts({0.5: np.int64(2), 0.7: 1})
     assert numpy_counts == SampleStats.from_counts({0.5: 2, 0.7: 1})
     assert type(numpy_counts.count) is int
 
 
 def numpy_five_numbers(values):
-    """The numpy summary the counted one replaced, kept as its reference."""
+    """The numpy minimum, quartiles and maximum that the counted ones
+    replaced, kept as their reference."""
     arr = np.asarray(values, dtype=float)
     q1, median, q3 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
-    return FiveNumberSummary(float(arr.min()), q1, median, q3, float(arr.max()))
+    return float(arr.min()), q1, median, q3, float(arr.max())
 
 
 @given(
@@ -627,17 +659,55 @@ def numpy_five_numbers(values):
 def test_counted_stats_match_numpy(values):
     """Stats built from value counts reproduce ``np.quantile`` bit for bit,
     and their mean is the exact mean rounded once, in any sample order."""
-    assert FiveNumberSummary.from_counts(Counter(values)) == numpy_five_numbers(values)
     stats = SampleStats.from_samples(values)
+    assert SampleStats.from_counts(Counter(values)) == stats
+    assert (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum) == (
+        numpy_five_numbers(values)
+    )
     assert stats.count == len(values)
     assert stats.mean == float(sum(map(Fraction, values)) / len(values))
     assert stats.mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-300)
     assert SampleStats.from_samples(values[::-1]) == stats
 
 
+def exact_stats(values):
+    """Count, exact mean rounded once, and numpy's minimum, quartiles and
+    maximum."""
+    return SampleStats(
+        len(values), float(sum(map(Fraction, values)) / len(values)), *numpy_five_numbers(values)
+    )
+
+
+def pooled_trials(cfg):
+    """A sweep's total rebuilt from one trial per batch: the exact stats of
+    every allocated request of every xi, pooled."""
+    outcomes = [
+        o for xi in cfg.xi_values for p in range(cfg.num_pair_draws)
+        for c in range(cfg.num_class_draws) for o in run_trial(cfg, xi, p, c).outcomes
+    ]
+    allocated = [(o.path_node_count, o.fidelity) for o in outcomes if o.blocked is None]
+    return XiSummary(
+        None, len(outcomes), len(outcomes) - len(allocated),
+        exact_stats([f for _, f in allocated]),
+        float(Fraction(sum(k for k, _ in allocated), len(allocated))),
+        {k: exact_stats([f for j, f in allocated if j == k]) for k, _ in allocated},
+    )
+
+
+@given(st.lists(st.floats(0.25, 1.0), min_size=1, max_size=200))
+@example([0.36, 0.29, 0.69])
+def test_theta_profile_mean_is_exact(fidelities):
+    """A profile's mean is the exact mean of its samples, rounded once (a
+    float sum, numpy's pairwise one included, may round otherwise)."""
+    profile = ThetaProfile(UNAWARE, 0.4, 1, tuple(fidelities))
+    assert profile.mean == float(sum(map(Fraction, fidelities)) / len(fidelities))
+
+
 def test_xi_order_and_repeats_change_no_point():
     """Upgrade fractions given in descending or shuffled order, one of them
-    twice, give the points of the ascending run, in the order given.
+    twice, give the points of the ascending run, in the order given.  A
+    sweep's total is the exact pooled stats of every request of its trials,
+    the same bits in every order.
 
     Within a class draw the engine walks the fractions in ascending upgrade
     count whatever their order.  Trials run one by one in descending order
@@ -647,16 +717,23 @@ def test_xi_order_and_repeats_change_no_point():
     xi_values = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     cfg = replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4, xi_values=xi_values)
     f_bars = (0.0, 0.3)
-    per_xi = {x.xi: x for x in sweep_xi(cfg).per_xi}
+    sweep = sweep_xi(cfg)
+    assert pooled_trials(cfg) == sweep.total
+    per_xi = {x.xi: x for x in sweep.per_xi}
     points = {(p.mapping, p.f_bar, p.xi): p for p in study_blocking(cfg, f_bars)}
     shuffled = list(xi_values) + [0.4]
     random.Random(6).shuffle(shuffled)
+    totals = []
     for order in ((1.0, 0.8, 0.6, 0.4, 0.4, 0.2, 0.0), tuple(shuffled)):
         reordered = replace(cfg, xi_values=order)
-        assert sweep_xi(reordered).per_xi == tuple(per_xi[xi] for xi in order)
+        sweep = sweep_xi(reordered)
+        assert sweep.per_xi == tuple(per_xi[xi] for xi in order)
+        totals.append(sweep.total)
         assert study_blocking(reordered, f_bars) == tuple(
             points[m, f, xi] for m in MAPPINGS for f in f_bars for xi in order
         )
+    # Both orders pool the same requests, 0.4's twice, to the same bits.
+    assert totals[0] == totals[1] == pooled_trials(replace(cfg, xi_values=order))
     descending = [run_trial(cfg, xi, 1, 2) for xi in reversed(xi_values)]
     for record in descending:
         routing._last = None

@@ -8,7 +8,7 @@ within two ulps) and frozen.  The closed form must reproduce them.
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qrepnet import (
@@ -120,6 +120,19 @@ def test_fidelity_never_falls_below_floor(n_h, n_l, eta_h, eta_l, f):
     version at workaday parameters is the next test.
     """
     assert two_class_fidelity(n_h, n_l, eta_h, eta_l, f) >= 0.25
+
+
+@given(st.integers(0, 10), st.integers(0, 10), etas, st.one_of(etas, st.none()), fids)
+@example(3, 2, 0.85, 0.97, 1.0)
+@example(1, 2, 0.83, None, 0.592)
+def test_two_class_fidelity_is_symmetric_in_the_classes(n_h, n_l, eta_h, eta_l, f):
+    """Swapping the two classes gives the same bits, at distinct and at
+    equal noise rates (``eta_l`` of ``None``), so a score does not depend on
+    which class is called high quality."""
+    eta_l = eta_h if eta_l is None else eta_l
+    assert two_class_fidelity(n_h, n_l, eta_h, eta_l, f) == two_class_fidelity(
+        n_l, n_h, eta_l, eta_h, f
+    )
 
 
 @given(st.integers(0, 10), st.integers(0, 10))

@@ -67,6 +67,17 @@ GOLDEN = {
                 "3ff0a978ce2d7032c4569a8719928745ef0b736939a9bf08275adf479810d962",
         },
     ),
+    # The default size (n=5, 5 x 100 draws): the only golden whose
+    # summary.csv pools thousands of requests over a full xi grid.
+    "topology-study-default": (
+        ["topology-study", "--seed", "12345"],
+        {
+            "fidelity_vs_xi.csv":
+                "85f3d95b0d45d3bb78c921ae5660509ad5f3378be84c9c288b20ee1d8fba5263",
+            "summary.csv":
+                "3109c83ae70e6c03f6c677eddfb18dbd9f80c6d88b865465d9a7989bcfcb7ef2",
+        },
+    ),
     # Unsorted, repeated thresholds: rows stay in (mapping, f_bar as given,
     # xi) order.
     "blocking-threshold-order": (
