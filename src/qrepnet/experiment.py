@@ -40,7 +40,7 @@ import threading
 import warnings
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, product
@@ -150,8 +150,13 @@ class ExperimentConfig:
         if self.n < 2:
             raise ValueError(f"core width must be at least 2, got {self.n}")
         if self.xi_values is not None:
+            wrong = f"xi_values must be an iterable of real numbers, got {self.xi_values!r}"
+            if not isinstance(self.xi_values, Iterable):
+                raise ValueError(wrong)
             # A tuple, so that the frozen config hashes whatever sequence it got.
             object.__setattr__(self, "xi_values", tuple(self.xi_values))
+            if not all(isinstance(xi, Real) for xi in self.xi_values):
+                raise ValueError(wrong)
             if not self.xi_values:
                 raise ValueError("xi values, when given, must not be empty")
             for xi in self.xi_values:

@@ -34,6 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml")
 ROUTING = "src/qrepnet/routing.py"
 EXPERIMENT = "src/qrepnet/experiment.py"
+TOPOLOGY = "src/qrepnet/topology.py"
+FIDELITY = "src/qrepnet/fidelity.py"
 # The unmutated tests take about 30 s.
 TIMEOUT_S = 600
 
@@ -125,6 +127,34 @@ MUTANTS = (
         "return SampleStats.from_samples(self.fidelities).mean",
         "return float(np.mean(self.fidelities))",
         "CHANGES.md line 47: the parent's `np.mean` of a theta profile",
+    ),
+    Mutant(
+        "re-queue no lowered node in a carried search",
+        ROUTING,
+        "buckets[label].append(u)",
+        "pass",
+        "CHANGES.md line 12: the repair pushes no lowered node",
+    ),
+    Mutant(
+        "build the cylinder without its wrap edges",
+        TOPOLOGY,
+        "_add_edge(adjacency, col, (n - 1) * n + col)",
+        "pass",
+        "CHANGES.md line 2: no cylinder wrap edges",
+    ),
+    Mutant(
+        "pair every source with its own row",
+        EXPERIMENT,
+        "tuple(int(x) for x in rng.permutation(n))",
+        "tuple(range(n))",
+        "CHANGES.md line 2: an identity `draw_pairing`",
+    ),
+    Mutant(
+        "contract a swap by a linear noise factor",
+        FIDELITY,
+        "(4.0 * eta * eta - 1.0) / 3.0",
+        "(4.0 * eta - 1.0) / 3.0",
+        "CHANGES.md line 2: the swap factor (4 eta - 1) / 3",
     ),
 )
 

@@ -1,13 +1,20 @@
 """Exhaustive routing oracles shared by the test modules.
 
-They share no code with :mod:`qrepnet.routing`: costs are exact fractions
-of the mapping's weights, and the best path is found by enumerating simple
-paths, not by a shortest-path search.
+They share no code with :mod:`qrepnet.routing`, whose result types alone
+they build: costs are exact fractions of the mapping's weights, and the
+best path is found by enumerating simple paths, not by a shortest-path
+search.
 """
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
+
+from qrepnet.fidelity import two_class_fidelity
+from qrepnet.routing import BlockReason, PathAllocation
 from qrepnet.topology import NodeKind
 
 
@@ -73,3 +80,44 @@ def branch_and_bound_best(graph, source, destination, mapping):
 
     extend(0)
     return None if best is None else (Fraction(best[0], scale), best[1])
+
+
+def brute_force_best(graph, source, destination, mapping):
+    """The same optimum as :func:`branch_and_bound_best`, by networkx's
+    enumeration of every simple path; slow, so for n=3 only."""
+    G = nx.Graph(list(graph.edges()))
+    if source not in G or destination not in G or not nx.has_path(G, source, destination):
+        return None
+    best = None
+    for path in nx.all_simple_paths(G, source, destination):
+        cost = sum(node_weight(graph, v, mapping) for v in path[1:])
+        key = (cost, tuple(path))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def reference_batch(graph, requests, mapping, threshold, link_fidelity, hq, lq):
+    """Serve a batch as :func:`qrepnet.allocate_batch` documents it, with no
+    memo: in establishment order, each request takes its
+    :func:`branch_and_bound_best` path on a residual copy of ``graph`` and
+    is scored by ``two_class_fidelity`` of the path's ``hq`` and ``lq``
+    transport nodes.  Returns the allocations and the number blocked."""
+    residual = graph.copy()
+    allocations = []
+    for r in sorted(requests, key=lambda r: r.theta):
+        found = branch_and_bound_best(residual, r.source, r.destination, mapping)
+        if found is None:
+            allocations.append(PathAllocation(r, None, None, BlockReason.NO_PATH))
+            continue
+        path = found[1]
+        counts = Counter(graph.classes[v] for v in path if graph.kinds[v] is NodeKind.TRANSPORT)
+        f = two_class_fidelity(counts[hq], counts[lq], hq.eta, lq.eta, link_fidelity)
+        if f < threshold:
+            allocations.append(PathAllocation(r, None, None, BlockReason.BELOW_THRESHOLD))
+            continue
+        for u, v in itertools.pairwise(path):
+            residual.adjacency[u].discard(v)
+            residual.adjacency[v].discard(u)
+        allocations.append(PathAllocation(r, path, f, None))
+    return allocations, sum(not a.allocated for a in allocations)

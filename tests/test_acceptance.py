@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from conftest import record_criterion
+from oracles import brute_force_best, node_weight
 from qrepnet import (
     AWARE,
     CYLINDER,
@@ -56,7 +56,6 @@ from qrepnet import (
     two_class_fidelity,
 )
 from qrepnet.cli import main
-from qrepnet.topology import NodeKind
 
 SEEDS = range(1, 11)
 XI_GRID = tuple(k / 25 for k in range(26))
@@ -538,25 +537,14 @@ def test_criterion_11_routing_matches_exhaustive_search():
             g.adjacency[v].discard(u)
         s = g.source_id(int(rng.integers(0, 3)))
         d = g.destination_id(int(rng.integers(0, 3)))
-        nxg = nx.Graph(list(g.edges()))
-        nxg.add_nodes_from(range(g.num_nodes))
         for mapping in mappings:
-            weights = [
-                mapping(g.classes[v].eta) if g.kinds[v] is NodeKind.TRANSPORT else 0.0
-                for v in range(g.num_nodes)
-            ]
             got = shortest_path(g, s, d, mapping)
-            best = None
-            for path in nx.all_simple_paths(nxg, s, d):
-                cost = sum(weights[v] for v in path[1:])
-                key = (cost, tuple(path))
-                if best is None or key < best:
-                    best = key
+            best = brute_force_best(g, s, d, mapping)
             if best is None:
                 assert got is None
             else:
                 assert got is not None
-                assert (sum(weights[v] for v in got[1:]), got) == best
+                assert (sum(node_weight(g, v, mapping) for v in got[1:]), got) == best
             checked += 1
     record_criterion(11, True, f"{checked} residual-network routes match exhaustive search")
 

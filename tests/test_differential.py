@@ -4,9 +4,8 @@ Differential testing (W. M. McKeeman, "Differential Testing for Software",
 Digital Technical Journal 10(1), 1998): every speed-up of the trial engine
 and the router is a memo or a reuse rule, and none of them may change a
 result.  The reference below keeps no memo and reuses nothing.  It classes
-each graph through ``assign_classes``, routes each request by the
-exhaustive oracle on a residual copy of its graph, scores it by
-``two_class_fidelity`` of its ``path_composition`` and serves every
+each graph through ``assign_classes``, serves each batch by the
+exhaustive ``reference_batch`` of ``oracles.py`` and serves every
 threshold, xi, pairing and class draw on its own.  Only the random draws
 are shared with the engine, by design: they are not under test.
 """
@@ -33,16 +32,14 @@ from qrepnet import (
     assign_classes,
     build_network,
     draw_pairing,
-    path_composition,
     shuffle_requests,
     study_blocking,
     study_noise_awareness,
     sweep_xi,
-    two_class_fidelity,
 )
 from qrepnet import experiment, routing
 
-from oracles import branch_and_bound_best
+from oracles import reference_batch
 
 
 @functools.cache
@@ -61,24 +58,11 @@ def reference_batches(config, xi):
                 (graph.source_id(row), graph.destination_id(to))
                 for row, to in enumerate(draw_pairing(config.seed, config.n, p))
             ]
-            residual = graph.copy()
-            for request in shuffle_requests(pairs, experiment._substream(config.seed, 3, p, c)):
-                found = branch_and_bound_best(
-                    residual, request.source, request.destination, mapping
-                )
-                path = fidelity = None
-                if found is not None:
-                    counts = path_composition(graph, found[1])
-                    score = two_class_fidelity(
-                        counts.get(hq, 0), counts.get(lq, 0), hq.eta, lq.eta,
-                        config.link_fidelity,
-                    )
-                    if score >= config.f_bar:
-                        path, fidelity = found[1], score
-                        for u, v in itertools.pairwise(path):
-                            residual.adjacency[u].discard(v)
-                            residual.adjacency[v].discard(u)
-                served.append((p, request.theta, path, fidelity))
+            requests = shuffle_requests(pairs, experiment._substream(config.seed, 3, p, c))
+            allocations, _ = reference_batch(
+                graph, requests, mapping, config.f_bar, config.link_fidelity, hq, lq
+            )
+            served.extend((p, a.request.theta, a.path, a.fidelity) for a in allocations)
     return served
 
 

@@ -103,17 +103,19 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("eta_h", "0.9"), ("eta_l", None), ("link_fidelity", "x"), ("f_bar", None),
     ("aware_weight", "1"), ("xi_values", [0.0, 1.0]),
+    ("xi_values", ("0.5",)), ("xi_values", (None,)), ("xi_values", 0.5),
 ])
 def test_config_rejects_wrong_types_and_stays_hashable(field, value):
     """A field of the wrong type is a ``ValueError`` that names it, not a
     ``TypeError`` from inside a check, and xi values given as a list are
     kept as a tuple, so the frozen config hashes."""
-    if field == "xi_values":
+    if value == [0.0, 1.0]:
         config = ExperimentConfig(xi_values=value)
         assert config.xi_values == tuple(value)
         assert hash(config) == hash(replace(config, xi_values=tuple(value)))
         return
-    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+    wanted = "an iterable of real numbers" if field == "xi_values" else "a real number"
+    with pytest.raises(ValueError, match=f"^{field} must be {wanted}"):
         ExperimentConfig(**{field: value})
 
 

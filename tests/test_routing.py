@@ -5,7 +5,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +33,7 @@ from qrepnet import (
 from qrepnet import experiment, routing
 from qrepnet.routing import integer_costs
 
-from oracles import branch_and_bound_best, node_weight
+from oracles import branch_and_bound_best, brute_force_best, node_weight, reference_batch
 
 HQ = NoiseClass("HQ", 0.999)
 LQ = NoiseClass("LQ", 0.8)
@@ -44,25 +43,6 @@ UNIT = noise_unaware_mapping()
 def all_lq(topology, n):
     g = build_network(topology, n)
     return g.with_classes({v: LQ for v in range(g.num_transport)})
-
-
-def brute_force_best(graph, source, destination, mapping):
-    """Minimum (cost, path) over all simple paths, or None if disconnected.
-
-    Exhaustive reference for the router: cost is the exact sum of the
-    weights of the nodes entered after the source, ties resolved by the
-    lexicographically smallest node id sequence.
-    """
-    G = nx.Graph(list(graph.edges()))
-    if source not in G or destination not in G or not nx.has_path(G, source, destination):
-        return None
-    best = None
-    for path in nx.all_simple_paths(G, source, destination):
-        cost = sum(node_weight(graph, v, mapping) for v in path[1:])
-        key = (cost, tuple(path))
-        if best is None or key < best:
-            best = key
-    return best
 
 
 def exhaustive_best(graph, source, destination, mapping):
@@ -344,40 +324,13 @@ def test_allocation_fidelity_matches_composition():
             )
 
 
-def reference_batch(graph, requests, mapping, threshold, link_fidelity):
-    """Serve a batch with no memo at all: one ``shortest_path`` per request on
-    a residual copy of ``graph``, scored by ``two_class_fidelity`` of the
-    path's HQ and LQ node counts."""
-    residual = graph.copy()
-    allocations = []
-    blocked = 0
-    for r in sorted(requests, key=lambda r: r.theta):
-        path = shortest_path(residual, r.source, r.destination, mapping)
-        if path is None:
-            allocations.append(PathAllocation(r, None, None, BlockReason.NO_PATH))
-        else:
-            comp = path_composition(graph, path)
-            f = two_class_fidelity(
-                comp.get(HQ, 0), comp.get(LQ, 0), HQ.eta, LQ.eta, link_fidelity
-            )
-            if f >= threshold:
-                for u, v in itertools.pairwise(path):
-                    residual.adjacency[u].discard(v)
-                    residual.adjacency[v].discard(u)
-                allocations.append(PathAllocation(r, path, f, None))
-                continue
-            allocations.append(PathAllocation(r, None, None, BlockReason.BELOW_THRESHOLD))
-        blocked += 1
-    return allocations, blocked
-
-
 def test_routing_memo_changes_nothing():
     rng = np.random.default_rng(31)
     for topology in (GRID, CYLINDER):
         g = assign_classes(build_network(topology, 3), 0.5, HQ, LQ, rng)
         pairs = [(g.source_id(r), g.destination_id(r)) for r in range(3)]
         reqs = shuffle_requests(pairs, np.random.default_rng(8))
-        want = reference_batch(g, reqs, UNIT, 0.0, 0.975)
+        want = reference_batch(g, reqs, UNIT, 0.0, 0.975, HQ, LQ)
         # The second call on the same graph reads its routes from the
         # route table and its scores from the score memo.
         assert allocate_batch(g, reqs, UNIT, 0.0, 0.975) == want
@@ -393,7 +346,7 @@ def test_shared_cache_is_safe_across_topologies():
         g = all_lq(topology, 3)
         reqs = [RoutingRequest(g.source_id(0), g.destination_id(2), 1)]
         memoised, _ = allocate_batch(g, reqs, UNIT, 0.0, 0.975)
-        assert memoised == reference_batch(g, reqs, UNIT, 0.0, 0.975)[0]
+        assert memoised == reference_batch(g, reqs, UNIT, 0.0, 0.975, HQ, LQ)[0]
         results[topology] = memoised[0].path
     # The wrap edge gives the cylinder a strictly shorter crossing.
     assert len(results[CYLINDER]) < len(results[GRID])
@@ -409,7 +362,7 @@ def test_routing_memo_is_keyed_on_the_input_edge_set():
     cut.adjacency[0].discard(1)
     cut.adjacency[1].discard(0)
     memoised = allocate_batch(cut, reqs, UNIT, 0.0, 0.975)
-    assert memoised == reference_batch(cut, reqs, UNIT, 0.0, 0.975)
+    assert memoised == reference_batch(cut, reqs, UNIT, 0.0, 0.975, HQ, LQ)
     assert memoised[0][0].path == (9, 0, 3, 4, 1, 2, 12)
 
 
@@ -427,7 +380,7 @@ def test_shared_cache_follows_mapping_classes_and_link_fidelity():
         (other, aware, 0.99), (g, UNIT, 0.975), (other, UNIT, 0.99),
     ]:
         memoised = allocate_batch(graph, reqs, mapping, 0.3, link_fidelity)
-        assert memoised == reference_batch(graph, reqs, mapping, 0.3, link_fidelity)
+        assert memoised == reference_batch(graph, reqs, mapping, 0.3, link_fidelity, HQ, LQ)
 
 
 
@@ -452,7 +405,7 @@ def test_uniform_cost_graphs_share_one_route_table():
         counted = routing.counters
         before = counted.walks, counted.certified
         memoised = allocate_batch(graph, reqs, mapping, 0.0, 0.975)
-        assert memoised == reference_batch(graph, reqs, mapping, 0.0, 0.975)
+        assert memoised == reference_batch(graph, reqs, mapping, 0.0, 0.975, HQ, LQ)
         walked.append((counted.walks - before[0], counted.certified - before[1]))
     # The first request walks its route on the start network, and so does
     # each of the three later ones, on a residual network.  One of those
