@@ -21,18 +21,20 @@ label, not one entry per node (see :class:`Search`).
 
 Routing runs on a static frame of the base network (sorted neighbours, each
 paired with its edge's bit), and a residual network is one int, the mask of
-edges already consumed.  The module keeps one memo, for the last classed
-graph served.  Two tables live while the frame is the same: the fewest-hop
+edges already consumed.  Routes depend on node costs only, and a route's
+fidelity only on its high- and low-quality node counts, the two noise
+rates and the link fidelity, so routes and scores have memos of their
+own.  Scores are memoised for the process (:func:`_fidelity`).  Routes
+live in one memo, for the last classed graph served: the fewest-hop
 routes, which every graph whose transport nodes all cost the same shares
-(uniform costs route by fewest hops at any scale), and the fidelity per
-link fidelity and (noise rate, node count) of each class.  The graph's
-other routes, per (source, destination, residual mask), and its
-resumable reverse searches per (destination, residual mask) die with it;
-only the searches pass to the next graph, while the mapping is the same
-and no node cost rises, repaired on first use, so the searches of two
-graphs at most are alive.  A request reads its route from the route
-table and is scored through the score memo, so nothing else is stored
-per request.
+(uniform costs route by fewest hops at any scale), live while the frame
+is the same.  The graph's other routes, per (source, destination,
+residual mask), and its resumable reverse searches per (destination,
+residual mask) die with it; only the searches pass to the next graph,
+while the mapping is the same and no node cost rises, repaired on first
+use, so the searches of two graphs at most are alive.  A request reads
+its route from the route table and its score from the score memo, so
+nothing else is stored per request.
 A request on a residual network first takes the route on the batch's start
 network: every path open on the residual network is open there too, so
 when no consumed edge lies on that route, or there is none, it is the
@@ -46,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from heapq import heappop, heappush
 from math import inf, isfinite, lcm
 from operator import attrgetter, le
@@ -356,44 +358,27 @@ def cheapest_route(
     return Route(tuple(path), edges)
 
 
-def _fidelity_scorer(
-    rates: tuple[float, float],
-    flags: Sequence[int],
-    num_transport: int,
-    link_fidelity: float,
-    memo: dict,
-) -> Callable[[Route], float]:
-    """Score routes by their high- and low-quality node counts alone,
-    through :func:`two_class_fidelity` and a memo keyed by the link
-    fidelity and each class's noise rate and count.
+@cache
+def _fidelity(n_h: int, n_l: int, eta_h: float, eta_l: float, link_fidelity: float) -> float:
+    """:func:`two_class_fidelity`, memoised for the process.
 
-    A value depends on that key only, so graphs of any classes and link
-    fidelities may share ``memo``.
+    A score depends on its arguments alone, so every graph, frame, class
+    draw and link fidelity shares the memo, and the router needs none.
+    The counts are bounded by the network's size, so the memo grows with
+    the noise rates and link fidelities a process meets, not with its
+    class draws.
     """
-    eta_h, eta_l = rates
-    flag = flags.__getitem__
-
-    def fidelity(route: Route) -> float:
-        path = route.path
-        # Tier nodes are leaves, so only the ends of a route may be tier nodes.
-        n_l = sum(map(flag, path))
-        n_h = len(path) - (path[0] >= num_transport) - (path[-1] >= num_transport) - n_l
-        key = (link_fidelity, eta_h, n_h, eta_l, n_l)
-        f = memo.get(key)
-        if f is None:
-            f = memo[key] = two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
-        return f
-
-    return fidelity
+    return two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
 
 
 class _Router(NamedTuple):
     """What serving a batch on one classed graph needs besides its requests.
 
-    ``hops`` and ``scores`` belong to the frame: the route table for
-    transport costs that are all equal, which is ``routes`` on such a
-    graph, and the score memo of :func:`_fidelity_scorer`, which
-    ``fidelity`` fills.  The rest belong to this graph.  ``routes`` maps
+    ``hops`` belongs to the frame: the route table for transport costs
+    that are all equal, which is ``routes`` on such a graph.  The rest
+    belong to this graph: ``rates`` and ``flags`` are its high- and
+    low-quality noise rates and its flag per node, from
+    :func:`_two_classes`, which score its routes.  ``routes`` maps
     (source, destination, residual mask) to its route, or ``None`` when
     there is none, and ``searches`` maps (destination, residual mask) to
     its :class:`Search`.  ``carried`` is the previous graph's
@@ -405,11 +390,10 @@ class _Router(NamedTuple):
     classes: tuple[NoiseClass | None, ...]
     frame: Frame
     mapping: WeightMapping
-    link_fidelity: float
+    rates: tuple[float, float]
+    flags: tuple[int, ...]
     costs: tuple[int, ...]
     routes: dict
-    scores: dict
-    fidelity: Callable[[Route], float]
     searches: dict
     carried: dict
     lowered: tuple[int, ...]
@@ -446,32 +430,31 @@ class Counters:
 # Counts since the module was imported; readers take differences.
 counters = Counters()
 
-# The last router built; the whole routing memo of the module.  Every memo
+# The last router built; the whole route memo of the module.  Every memo
 # entry is a pure function of its key, so a stale or shared slot can cost
 # work but never change a result.
 _last: _Router | None = None
 
 
-def _router(
-    graph: NetworkGraph, frame: Frame, mapping: WeightMapping, link_fidelity: float
-) -> _Router:
-    """Node costs, route table and scorer for a classed graph.
+def _router(graph: NetworkGraph, frame: Frame, mapping: WeightMapping) -> _Router:
+    """Noise rates, node flags, costs and route table for a classed graph.
 
     The graph's two noise rates, node flags and costs come from
     :func:`_two_classes`, which rejects an unclassed transport node or a
     third class.  The last router is reused while calls pass the same
-    ``classes`` tuple (which it keeps alive), frame, mapping and link
-    fidelity, as consecutive batches of one class draw do.  A mapping is
-    taken to be a pure function of the noise rate.  A new router takes
-    state over under two rules.  While the frame is the same, it takes the
-    score memo and the ``hops`` route table, which every graph whose
-    transport nodes all cost the same routes through (as the unaware
-    mapping's and the all-LQ and all-HQ graphs of a sweep do): scaling
-    every cost by one factor keeps the order of path costs.  While the
-    mapping is also the same and no node's cost rose, as when a sweep
-    upgrades more nodes of one class draw, it takes the last graph's
-    searches, each repaired on its first use (see :func:`_take_search`).
-    Every other table belongs to one graph.
+    ``classes`` tuple (which it keeps alive), frame and mapping, as
+    consecutive batches of one class draw do, at any threshold and link
+    fidelity: routes never depend on either.  A mapping is taken to be a
+    pure function of the noise rate.  A new router takes state over under
+    two rules.  While the frame is the same, it takes the ``hops`` route
+    table, which every graph whose transport nodes all cost the same
+    routes through (as the unaware mapping's and the all-LQ and all-HQ
+    graphs of a sweep do): scaling every cost by one factor keeps the
+    order of path costs.  While the mapping is also the same and no
+    node's cost rose, as when a sweep upgrades more nodes of one class
+    draw, it takes the last graph's searches, each repaired on its first
+    use (see :func:`_take_search`).  Every other table belongs to one
+    graph.
     """
     global _last
     last = _last
@@ -480,21 +463,18 @@ def _router(
         and last.classes is graph.classes
         and last.frame is frame
         and last.mapping is mapping
-        and last.link_fidelity == link_fidelity
     ):
         return last
     rates, flags, costs = _two_classes(graph, mapping)
-    hops, scores, carried, lowered = {}, {}, {}, ()
+    hops, carried, lowered = {}, {}, ()
     if last is not None and last.frame is frame:
-        hops, scores = last.hops, last.scores
+        hops = last.hops
         if last.mapping is mapping and all(map(le, costs, last.costs)):
             carried = last.searches
             lowered = tuple(v for v, (c, was) in enumerate(zip(costs, last.costs)) if c < was)
     routes = hops if len(set(costs) - {0}) == 1 else {}
-    scorer = _fidelity_scorer(rates, flags, graph.num_transport, link_fidelity, scores)
     _last = _Router(
-        graph.classes, frame, mapping, link_fidelity, costs, routes, scores, scorer,
-        {}, carried, lowered, hops,
+        graph.classes, frame, mapping, rates, flags, costs, routes, {}, carried, lowered, hops
     )
     return _last
 
@@ -594,9 +574,11 @@ def allocate_batch(
     their thresholds, route each (endpoints, residual network) once, and
     all routes toward one destination on one residual network share one
     resumed reverse search, which a graph whose node costs fell from the
-    previous graph's carries over.  Each routed request is scored through
-    the frame's score memo, so a route is scored once per (link fidelity,
-    class counts).  A request that meets consumed edges
+    previous graph's carries over; a call at another link fidelity routes
+    through the same table.  Each routed request is scored by its high-
+    and low-quality node counts through the process's score memo
+    (:func:`_fidelity`), so each (class counts, noise rates, link fidelity)
+    is computed once.  A request that meets consumed edges
     takes its route on ``graph`` itself when none of them lies on it (see
     the module's docstring).  Each call adds to :data:`counters`.  An
     endpoint that is no node of ``graph`` is a ``ValueError``.
@@ -606,8 +588,11 @@ def allocate_batch(
         raise ValueError("request thetas must be exactly 1..P")
 
     frame, start = network_frame(graph)
-    router = _router(graph, frame, mapping, link_fidelity)
-    routes, fidelity = router.routes, router.fidelity
+    router = _router(graph, frame, mapping)
+    routes = router.routes
+    eta_h, eta_l = router.rates
+    flag = router.flags.__getitem__
+    tiers = graph.num_transport
     used = start
     counters.batches += 1
     counters.requests += len(ordered)
@@ -636,11 +621,16 @@ def allocate_batch(
         if route is None:
             reason = BlockReason.NO_PATH
             no_path += 1
-        elif (f := fidelity(route)) >= fidelity_threshold:
-            used |= route.edges
-            allocations.append(PathAllocation(request, route.path, f, None))
-            continue
         else:
+            path = route.path
+            # Tier nodes are leaves, so only the ends of a route may be tier nodes.
+            n_l = sum(map(flag, path))
+            n_h = len(path) - (path[0] >= tiers) - (path[-1] >= tiers) - n_l
+            f = _fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
+            if f >= fidelity_threshold:
+                used |= route.edges
+                allocations.append(PathAllocation(request, path, f, None))
+                continue
             reason = BlockReason.BELOW_THRESHOLD
         allocations.append(PathAllocation(request, None, None, reason))
         blocked += 1

@@ -5,10 +5,12 @@ Test Data Selection", IEEE Computer 11(4), 1978).  Each entry names one
 fault, the file it goes in, the exact source text it replaces, the
 replacement, and the CHANGES.md line that first made and killed it.
 
-Run ``python tests/mutants.py`` from the repository root.  It first checks
-that every entry's source text occurs exactly once, so a refactor that
-moves the code must re-home its mutants.  Then, for the unmutated program
-and for each entry in turn, it copies ``src/``, ``tests/``, ``bench/`` and
+Run ``python tests/mutants.py [NAME ...]`` from the repository root.  With
+no name it runs every entry; with names, only those entries, and an
+unknown name exits 1 with the list of valid ones.  It first checks that
+every entry's source text occurs exactly once, so a refactor that moves
+the code must re-home its mutants.  Then, for the unmutated program and
+for each entry in turn, it copies ``src/``, ``tests/``, ``bench/`` and
 ``pyproject.toml`` to a temporary directory (the checkout is never
 touched), makes the entry's replacement there and runs
 ``pytest -x -q -p no:cacheprovider tests``.  It prints the first test that
@@ -87,17 +89,36 @@ MUTANTS = (
     Mutant(
         "leave the link fidelity out of the score key",
         ROUTING,
-        "key = (link_fidelity, eta_h, n_h, eta_l, n_l)",
-        "key = (eta_h, n_h, eta_l, n_l)",
+        "@cache\n"
+        "def _fidelity(n_h: int, n_l: int, eta_h: float, eta_l: float, link_fidelity: float)"
+        " -> float:\n",
+        # The memo keeps its cache_clear and cache_info, so only its key
+        # changes: a score is memoised at the first link fidelity it meets.
+        "def _fidelity(n_h, n_l, eta_h, eta_l, link):\n"
+        "    global link_fidelity\n"
+        "    link_fidelity = link\n"
+        "    return _score(n_h, n_l, eta_h, eta_l)\n\n\n"
+        "_fidelity.cache_clear = lambda: _score.cache_clear()\n"
+        "_fidelity.cache_info = lambda: _score.cache_info()\n\n\n"
+        "@cache\n"
+        "def _score(n_h, n_l, eta_h, eta_l):\n",
         "CHANGES.md line 30: the parent, whose key leaves the link fidelity out",
     ),
     Mutant(
         "accept a score 0.02 below the threshold",
         ROUTING,
-        "elif (f := fidelity(route)) >= fidelity_threshold:",
-        "elif (f := fidelity(route)) >= fidelity_threshold - 0.02:",
+        "if f >= fidelity_threshold:",
+        "if f >= fidelity_threshold - 0.02:",
         "CHANGES.md line 40: copies of the router that accept a score 0.02 "
         "below the threshold",
+    ),
+    Mutant(
+        "do not consume an allocated path's edges",
+        ROUTING,
+        "used |= route.edges",
+        "used |= 0",
+        "CHANGES.md line 40: copies of the router that skip consuming one "
+        "allocated path's edges",
     ),
     Mutant(
         "reuse a batch on the largest allocated fidelity",
@@ -202,27 +223,34 @@ def first_failure(mutant: Mutant | None) -> str | None:
     return f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutant names: {', '.join(map(repr, unknown))}; valid names:")
+        for mutant in MUTANTS:
+            print(f"  {mutant.name}")
+        return 1
     absent = missing()
     for name in absent:
         print(f"source text not found exactly once: {name}")
     if absent:
         return 1
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     start = time.perf_counter()
     failed = first_failure(None)
     print(f"unmutated: {failed or 'passed'} ({time.perf_counter() - start:.1f} s)", flush=True)
     if failed:
         return 1
     survived = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         start = time.perf_counter()
         failed = first_failure(mutant)
         survived += failed is None
         took = time.perf_counter() - start
         print(f"{mutant.name}: {failed or 'SURVIVED'} ({took:.1f} s)", flush=True)
-    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - survived} of {len(chosen)} mutants killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

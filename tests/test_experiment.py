@@ -46,9 +46,7 @@ from qrepnet import (
 )
 import qrepnet
 from qrepnet import experiment, routing
-from qrepnet.routing import (
-    _fidelity_scorer, _two_classes, allocate_batch, cheapest_route, network_frame
-)
+from qrepnet.routing import allocate_batch, cheapest_route, network_frame, shuffle_requests
 from qrepnet.topology import base_network
 
 SMALL = ExperimentConfig(
@@ -406,37 +404,53 @@ def test_eta_sweep_shares_randomness():
 
 
 def test_memoised_scorer_equals_the_two_class_closed_form():
-    """The fidelity memo, keyed by the link fidelity and the (noise rate,
-    node count) of each class, is exact, not approximate: every score is
-    ``two_class_fidelity`` of the route's high- and low-quality node
-    counts, bit for bit, on a memo miss and on a hit.  One memo serves
-    every graph: two link fidelities, mixed graphs, one-class graphs
-    (xi = 0 and xi = 1), a low-quality rate equal to the high-quality one
-    under its own label, and fresh class objects per graph, as
-    ``sweep_eta_l`` and the two mapping passes make them.
+    """The score memo, keyed by the high- and low-quality node counts, the
+    two noise rates and the link fidelity, is exact, not approximate: every
+    score ``allocate_batch`` gives is ``two_class_fidelity`` of the route's
+    high- and low-quality node counts, bit for bit, on a memo miss and on a
+    hit.  One memo serves every graph: two link fidelities, mixed graphs,
+    one-class graphs (xi = 0 and xi = 1), a low-quality rate equal to the
+    high-quality one under its own label, and fresh class objects per
+    graph, as ``sweep_eta_l`` and the two mapping passes make them.
     """
     base = build_network(CYLINDER, 5)
-    frame, _ = network_frame(base)
     rng = np.random.default_rng(404)
-    memo = {}
+    memo = routing._fidelity
+    memo.cache_clear()
+    scored = 0
     for link_fidelity, eta_l in itertools.product((0.975, 0.99), (0.8, 0.9, 0.999)):
-        cfg = ExperimentConfig(topology=CYLINDER, n=5, eta_l=eta_l, link_fidelity=link_fidelity)
+        cfg = ExperimentConfig(
+            topology=CYLINDER, n=5, eta_l=eta_l, link_fidelity=link_fidelity, mapping=AWARE
+        )
         for xi in (0.0, 0.2, 0.48, 0.76, 1.0):
             hq, lq = cfg.hq_class(), cfg.lq_class()
             classed = assign_classes(base, xi, hq, lq, rng)
-            rates, flags, _ = _two_classes(classed, cfg.weight_mapping())
-            score = _fidelity_scorer(rates, flags, base.num_transport, cfg.link_fidelity, memo)
-            for _ in range(40):
-                costs = tuple(int(c) for c in rng.integers(1, 9, base.num_transport)) + (0,) * 10
-                source = base.source_id(int(rng.integers(5)))
-                destination = base.destination_id(int(rng.integers(5)))
-                route = cheapest_route(frame, costs, source, destination, 0)
-                counts = path_composition(classed, route.path)
-                want = two_class_fidelity(
-                    counts.get(hq, 0), counts.get(lq, 0), cfg.eta_h, eta_l, cfg.link_fidelity
-                )
-                assert score(route) == want
-                assert score(route) == want
+            mapping = cfg.weight_mapping()
+            for _ in range(8):
+                pairs = [
+                    (base.source_id(r), base.destination_id(int(d)))
+                    for r, d in enumerate(rng.permutation(5))
+                ]
+                requests = shuffle_requests(pairs, rng)
+                for repeat in (False, True):
+                    misses = memo.cache_info().misses
+                    allocations, _ = allocate_batch(
+                        classed, requests, mapping, 0.0, cfg.link_fidelity
+                    )
+                    for a in allocations:
+                        if not a.allocated:
+                            continue
+                        counts = path_composition(classed, a.path)
+                        assert a.fidelity == two_class_fidelity(
+                            counts.get(hq, 0), counts.get(lq, 0), cfg.eta_h, eta_l,
+                            cfg.link_fidelity,
+                        )
+                        scored += 1
+                    if repeat:
+                        # The same batch again: every score is a hit.
+                        assert memo.cache_info().misses == misses
+    info = memo.cache_info()
+    assert info.misses > 0 and info.hits > 0 and scored == info.misses + info.hits
 
 
 def test_every_sweep_batch_is_served_by_allocate_batch(monkeypatch, in_process):
@@ -517,9 +531,10 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
     frame's one uniform-cost table, every search state is the graph's own
     or carried from the immediately previous graph, whose costs were no
     lower anywhere, and the memo left behind holds exactly the last graph's
-    cheapest routes, which its scorer scores as ``two_class_fidelity`` of
-    their class counts, and scores that are each ``two_class_fidelity`` of
-    their key."""
+    cheapest routes, whose class counts its rates and flags give.  The
+    score memo computes each score once, through the module's
+    ``two_class_fidelity``, and holds scores that are each
+    ``two_class_fidelity`` of their key."""
     routers = []  # kept alive so that table ids stay unique
     offered = []  # per router, the searches its table held when the next was built
     build = routing._router
@@ -532,9 +547,19 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
             routers.append(router)
         return router
 
+    scores = {}
+    closed_form = routing.two_class_fidelity
+
+    def scored(*key):
+        assert key not in scores
+        scores[key] = closed_form(*key)
+        return scores[key]
+
     monkeypatch.setattr(routing, "_router", recorded)
+    monkeypatch.setattr(routing, "two_class_fidelity", scored)
     cfg = replace(SMALL, mapping=AWARE, f_bar=0.28, num_class_draws=4)
     routing._last = None
+    routing._fidelity.cache_clear()
     sweep_xi(cfg)
     shape_of = {}
     for router in routers:
@@ -565,17 +590,17 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
     for (source, destination, used), route in last.routes.items():
         assert route == cheapest_route(last.frame, last.costs, source, destination, used)
     graph = replace(base_network(cfg.topology, cfg.n), classes=last.classes)
-    scored = [route for route in last.routes.values() if route is not None]
-    assert scored
-    for route in scored:
+    # A one-class graph (the last, at xi = 1) pairs its rate with itself.
+    assert last.rates == (cfg.eta_h, cfg.eta_l if cfg.lq_class() in last.classes else cfg.eta_h)
+    routed = [route for route in last.routes.values() if route is not None]
+    assert routed
+    for route in routed:
         counts = path_composition(graph, route.path)
-        assert last.fidelity(route) == two_class_fidelity(
-            counts.get(cfg.hq_class(), 0), counts.get(cfg.lq_class(), 0),
-            cfg.eta_h, cfg.eta_l, cfg.link_fidelity,
-        )
-    assert last.scores
-    for (link_fidelity, eta_h, n_h, eta_l, n_l), fidelity in last.scores.items():
-        assert fidelity == two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
+        assert sum(last.flags[v] for v in route.path) == counts.get(cfg.lq_class(), 0)
+    assert scores == {key: two_class_fidelity(*key) for key in scores}
+    misses = routing._fidelity.cache_info().misses
+    assert all(routing._fidelity(*key) == fidelity for key, fidelity in scores.items())
+    assert routing._fidelity.cache_info().misses == misses
     assert last.searches
     for (destination, used), search in last.searches.items():
         for source in map(graph.source_id, range(graph.n)):
@@ -801,6 +826,7 @@ def test_blocking_work_counts_are_pinned(monkeypatch):
     assert experiment._pool_workers(2, cfg, 26) == 1
     monkeypatch.setattr(routing, "counters", routing.Counters())
     monkeypatch.setattr(routing, "_last", None)
+    routing._fidelity.cache_clear()
     study_blocking(cfg)
     # 936 batches: 470 are taken from a lower threshold, whose allocations
     # all pass the next one, and only the 466 others are routed.
@@ -808,7 +834,7 @@ def test_blocking_work_counts_are_pinned(monkeypatch):
         batches=466, requests=2330, no_path=105, below_threshold=1715, reused=470,
         searches=150, carried=573, walks=1031, certified=149,
     )
-    assert len(routing._last.scores) == 57
+    assert routing._fidelity.cache_info().currsize == 57
 
 
 def test_stress_work_counts_are_pinned(monkeypatch):
@@ -827,6 +853,7 @@ def test_stress_work_counts_are_pinned(monkeypatch):
     assert experiment._pool_workers(2, cfg, 21) == 1
     monkeypatch.setattr(routing, "counters", routing.Counters())
     monkeypatch.setattr(routing, "_last", None)
+    routing._fidelity.cache_clear()
     study_blocking(cfg, (0.53,))
     # One threshold reuses no batch.  A residual request first walks the
     # start network's route, which needs no search of its own when it
@@ -835,7 +862,7 @@ def test_stress_work_counts_are_pinned(monkeypatch):
         batches=252, requests=2520, no_path=34, below_threshold=2173, reused=0,
         searches=409, carried=572, walks=1445, certified=143,
     )
-    assert len(routing._last.scores) == 159
+    assert routing._fidelity.cache_info().currsize == 159
 
 
 def test_sweep_memory_is_flat_in_class_draws(in_process):

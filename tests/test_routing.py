@@ -222,6 +222,33 @@ def test_shuffle_empty():
     assert shuffle_requests([], np.random.default_rng(0)) == []
 
 
+class ReplayedPermutations:
+    """An rng that is no numpy ``Generator``: its ``permutation(n)``
+    returns a list of ints, replayed from a ``Generator`` of the same seed."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def permutation(self, n):
+        return [int(i) for i in self._rng.permutation(n)]
+
+
+def test_shuffle_and_assign_take_any_rng_with_a_permutation():
+    """``shuffle_requests`` and ``assign_classes`` only call
+    ``rng.permutation``, so any object whose ``permutation(n)`` returns a
+    list of ints serves, and one that replays a ``Generator`` gives the
+    ``Generator``'s establishment orders and classes."""
+    base = build_network(CYLINDER, 4)
+    pairs = [(base.source_id(r), base.destination_id(3 - r)) for r in range(4)]
+    assert isinstance(ReplayedPermutations(0).permutation(4), list)
+    for seed in range(5):
+        stub, rng = ReplayedPermutations(seed), np.random.default_rng(seed)
+        assert shuffle_requests(pairs, stub) == shuffle_requests(pairs, rng)
+        for xi in (0.0, 0.3, 0.75, 1.0):
+            got = assign_classes(base, xi, HQ, LQ, stub)
+            assert got.classes == assign_classes(base, xi, HQ, LQ, rng).classes
+
+
 # ---------------------------------------------------------------------------
 # allocate_batch
 
@@ -382,6 +409,33 @@ def test_shared_cache_follows_mapping_classes_and_link_fidelity():
         memoised = allocate_batch(graph, reqs, mapping, 0.3, link_fidelity)
         assert memoised == reference_batch(graph, reqs, mapping, 0.3, link_fidelity, HQ, LQ)
 
+
+
+def test_another_link_fidelity_reuses_the_graphs_routes():
+    """Routes depend on node costs only, so a second batch on one mixed
+    aware graph at another link fidelity walks no route, and each call
+    scores its allocated paths at its own link fidelity."""
+    g = assign_classes(build_network(CYLINDER, 5), 0.48, HQ, LQ, np.random.default_rng(3))
+    pairs = [(g.source_id(r), g.destination_id((r + 2) % 5)) for r in range(5)]
+    reqs = shuffle_requests(pairs, np.random.default_rng(4))
+    aware = noise_aware_mapping(LQ.eta)
+    routing._last = None
+    walks = []
+    paths = []
+    for link_fidelity in (0.975, 0.99):
+        before = routing.counters.walks
+        allocations, _ = allocate_batch(g, reqs, aware, 0.0, link_fidelity)
+        walks.append(routing.counters.walks - before)
+        paths.append([a.path for a in allocations])
+        for a in allocations:
+            assert a.allocated
+            counts = path_composition(g, a.path)
+            assert a.fidelity == two_class_fidelity(
+                counts.get(HQ, 0), counts.get(LQ, 0), HQ.eta, LQ.eta, link_fidelity
+            )
+    assert walks[0] > 0 and walks[1] == 0
+    assert paths[0] == paths[1]
+    assert {HQ, LQ} <= set(g.classes)
 
 
 def test_uniform_cost_graphs_share_one_route_table():
