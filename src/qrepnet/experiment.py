@@ -320,7 +320,11 @@ def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:
     the work.  Workers are forked: only on
     Linux, only while no other thread runs (a child may inherit a lock it
     holds) and only while ``allocate_batch`` is unwrapped, as a wrapper (a
-    tracer, a profiler) sees only the calls made in its own process.
+    tracer, a profiler) sees only the calls made in its own process.  The
+    thread check sees Python threads only.  numpy's OpenBLAS worker, the
+    one other OS thread after ``import qrepnet.cli`` on a 2-vCPU Linux
+    machine, is stopped by OpenBLAS's own fork handler: the parent and the
+    child each run one thread after a fork.
     """
     requests = passes * config.num_class_draws * num_xi * config.num_pair_draws * config.n
     wrapped = getattr(allocate_batch, "__code__", None) is not _ENGINE_CODE
@@ -445,9 +449,13 @@ def _map_draws(
 def run_trial(
     config: ExperimentConfig, xi: float, pairing_index: int, class_draw: int
 ) -> TrialRecord:
-    """Run one full allocation batch and report the per-request outcomes."""
+    """Run one full allocation batch and report the per-request outcomes.
+
+    An ``xi`` off the ``1 / n**2`` grid rounds its upgraded node count and
+    warns, as every study does."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
+    _warn_off_grid((xi,), config.n)
     [(_, _, _, graph, allocations, _)] = _sweep(
         config, (xi,), (config.f_bar,), (pairing_index,), (class_draw,)
     )

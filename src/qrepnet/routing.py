@@ -39,8 +39,10 @@ A request on a residual network first takes the route on the batch's start
 network: every path open on the residual network is open there too, so
 when no consumed edge lies on that route, or there is none, it is the
 answer, and only otherwise does the residual network get a search.
-The module-level :data:`counters` count batches, requests and the work done
-on memo misses.
+Both entry points, :func:`shortest_path` and :func:`allocate_batch`, read
+the one memo, and one routine, :func:`_walk`, routes every miss.  The
+module-level :data:`counters` count batches, requests and the work done
+on memo misses by either entry point.
 """
 
 from __future__ import annotations
@@ -292,7 +294,7 @@ def cheapest_route(
     source: int,
     destination: int,
     used: int,
-    search: Search | None = None,
+    search: Search,
 ) -> Route | None:
     """Cheapest path over the edges not in ``used``, ties to the smallest id sequence.
 
@@ -311,17 +313,17 @@ def cheapest_route(
     simple, and every node the walk steps to has a final label below the
     source's.
 
-    ``search``, if given, is the state that earlier calls toward
-    ``destination`` on the same ``used`` left behind, under ``costs`` or
-    under costs no lower at any node and then repaired by
-    :func:`_take_search`, and the search resumes where it stopped.  Every
+    ``search`` is a fresh state (:func:`_search`) or the one that earlier
+    calls toward ``destination`` on the same ``used`` left behind, under
+    ``costs`` or under costs no lower at any node and then repaired by
+    :func:`_walk`, and the search resumes where it stopped.  Every
     label then bounds its node's cost to go from above, and every node that
     may still lower a neighbour's label is pending in the bucket of its own
     label.  So a label below every pending label is final, and resuming
     only makes more labels final: the route is the one a fresh search finds.
     """
     neighbours = frame.neighbours
-    togo, labels, buckets = _search(frame, destination) if search is None else search
+    togo, labels, buckets = search
     while labels and labels[0] < togo[source]:
         label = heappop(labels)
         for u in buckets.pop(label):
@@ -402,18 +404,19 @@ class _Router(NamedTuple):
 
 @dataclass
 class Counters:
-    """Work done by :func:`allocate_batch` and the batches spared it.
+    """Work done by :func:`allocate_batch` and :func:`shortest_path`, and
+    the batches spared it.
 
     ``batches`` counts calls and ``requests`` the requests they served.
     ``no_path`` and ``below_threshold`` count blocked requests by reason.
     ``reused`` counts the batches the trial engine took from a lower
     threshold instead of calling :func:`allocate_batch`, so ``batches +
-    reused`` is a study's batch count.  The rest count memo misses:
-    ``walks`` the routes computed, ``searches`` the reverse searches
-    started afresh, ``carried`` those taken over from the previous classed
-    graph and repaired, and ``certified`` the residual routes answered by
-    the route on the batch's start network.  A route-table hit counts
-    nothing.
+    reused`` is a study's batch count.  The rest count memo misses, by
+    either entry point: ``walks`` the routes computed, ``searches`` the
+    reverse searches started afresh, ``carried`` those taken over from the
+    previous classed graph and repaired, and ``certified`` the residual
+    routes answered by the route on the batch's start network.  A
+    route-table hit counts nothing.
     """
 
     batches: int = 0
@@ -453,7 +456,7 @@ def _router(graph: NetworkGraph, frame: Frame, mapping: WeightMapping) -> _Route
     order of path costs.  While the mapping is also the same and no
     node's cost rose, as when a sweep upgrades more nodes of one class
     draw, it takes the last graph's searches, each repaired on its first
-    use (see :func:`_take_search`).  Every other table belongs to one
+    use (see :func:`_walk`).  Every other table belongs to one
     graph.
     """
     global _last
@@ -479,54 +482,48 @@ def _router(graph: NetworkGraph, frame: Frame, mapping: WeightMapping) -> _Route
     return _last
 
 
-def _take_search(router: _Router, destination: int, used: int) -> Search:
-    """Give the router's graph its search toward ``destination`` on ``used``.
-
-    A search the previous graph left for the key moves over, repaired for
-    the nodes whose cost fell; otherwise a fresh one starts.
-    """
-    search = router.carried.pop((destination, used), None)
-    if search is None:
-        counters.searches += 1
-        search = _search(router.frame, destination)
-    else:
-        # Every label is the cost of a real path, which can only have got
-        # cheaper, so it still bounds the cost to go from above.  Only a
-        # node whose own cost fell can offer its neighbours a cheaper
-        # label, so each such node with a finite label goes back into the
-        # bucket of its label, and resuming relaxes its neighbours at the
-        # new cost: the decrease-only case of dynamic shortest paths
-        # (Ramalingam & Reps, J. Algorithms 21(2), 1996).
-        counters.carried += 1
-        togo, labels, buckets = search
-        for u in router.lowered:
-            label = togo[u]
-            if label < inf:
-                if label not in buckets:
-                    buckets[label] = []
-                    heappush(labels, label)
-                buckets[label].append(u)
-    router.searches[destination, used] = search
-    return search
-
-
 def _walk(router: _Router, source: int, destination: int, used: int) -> Route | None:
-    """Compute and store the route for (source, destination, used), on the
-    router's search toward ``destination`` on ``used``."""
-    counters.walks += 1
-    search = router.searches.get((destination, used))
-    if search is None:
-        search = _take_search(router, destination, used)
-    route = router.routes[source, destination, used] = cheapest_route(
-        router.frame, router.costs, source, destination, used, search
-    )
-    return route
+    """Compute and store the route for (source, destination, used): the one
+    routine that routes a route-table miss, for both entry points.
 
-
-def _check_endpoints(frame: Frame, source: int, destination: int) -> None:
+    An endpoint that is no node of the router's frame is a ``ValueError``.
+    The route resumes the router's search toward ``destination`` on
+    ``used``; failing that, the search the previous graph left for that
+    key, repaired for the nodes whose cost fell; failing that, a fresh one.
+    """
     for v in (source, destination):
-        if not 0 <= v < len(frame.neighbours):
+        if not 0 <= v < len(router.frame.neighbours):
             raise ValueError(f"node {v} is not in the network")
+    counters.walks += 1
+    key = (destination, used)
+    search = router.searches.get(key)
+    if search is None:
+        search = router.carried.pop(key, None)
+        if search is None:
+            counters.searches += 1
+            search = _search(router.frame, destination)
+        else:
+            # Every label is the cost of a real path, which can only have
+            # got cheaper, so it still bounds the cost to go from above.
+            # Only a node whose own cost fell can offer its neighbours a
+            # cheaper label, so each such node with a finite label goes
+            # back into the bucket of its label, and resuming relaxes its
+            # neighbours at the new cost: the decrease-only case of
+            # dynamic shortest paths (Ramalingam & Reps, J. Algorithms
+            # 21(2), 1996).
+            counters.carried += 1
+            togo, labels, buckets = search
+            for u in router.lowered:
+                label = togo[u]
+                if label < inf:
+                    if label not in buckets:
+                        buckets[label] = []
+                        heappush(labels, label)
+                    buckets[label].append(u)
+        router.searches[key] = search
+    route = cheapest_route(router.frame, router.costs, source, destination, used, search)
+    router.routes[source, destination, used] = route
+    return route
 
 
 def shortest_path(
@@ -535,13 +532,21 @@ def shortest_path(
     destination: int,
     mapping: WeightMapping,
 ) -> tuple[int, ...] | None:
-    """Minimum-weight path between two nodes, or ``None`` if disconnected."""
+    """Minimum-weight path between two nodes, or ``None`` if disconnected.
+
+    It routes through the module's memo of the last classed graph, as
+    :func:`allocate_batch` does (see :func:`_router`): a route the memo
+    holds for (source, destination, missing edges) is read from it, and a
+    miss is routed by :func:`_walk`, on the memo's searches, and adds to
+    :data:`counters`.  An endpoint that is no node of ``graph`` is a
+    ``ValueError``.
+    """
     if source == destination:
         raise ValueError("source and destination must differ")
     frame, used = network_frame(graph)
-    _check_endpoints(frame, source, destination)
-    _, _, costs = _two_classes(graph, mapping)
-    route = cheapest_route(frame, costs, source, destination, used)
+    router = _router(graph, frame, mapping)
+    key = (source, destination, used)
+    route = router.routes[key] if key in router.routes else _walk(router, *key)
     return None if route is None else route.path
 
 
@@ -570,12 +575,13 @@ def allocate_batch(
     Returns the allocations in establishment order together with the number
     of blocked requests.  ``graph`` itself is never mutated.  Routes come
     from the route table of the module's memo of the last classed graph
-    (see :func:`_router`), so consecutive calls on one graph, whatever
-    their thresholds, route each (endpoints, residual network) once, and
-    all routes toward one destination on one residual network share one
-    resumed reverse search, which a graph whose node costs fell from the
-    previous graph's carries over; a call at another link fidelity routes
-    through the same table.  Each routed request is scored by its high-
+    (see :func:`_router`), which :func:`shortest_path` shares, and a miss
+    is routed by :func:`_walk`.  So consecutive calls on one graph,
+    whatever their thresholds, route each (endpoints, residual network)
+    once, and all routes toward one destination on one residual network
+    share one resumed reverse search, which a graph whose node costs fell
+    from the previous graph's carries over; a call at another link
+    fidelity routes through the same table.  Each routed request is scored by its high-
     and low-quality node counts through the process's score memo
     (:func:`_fidelity`), so each (class counts, noise rates, link fidelity)
     is computed once.  A request that meets consumed edges
@@ -603,8 +609,6 @@ def allocate_batch(
         key = (source, destination, used)
         route = routes.get(key, _UNROUTED)
         if route is _UNROUTED:
-            # The table stores a key only once it passed this check.
-            _check_endpoints(frame, source, destination)
             route = routes.get((source, destination, start), _UNROUTED)
             if route is _UNROUTED:
                 route = _walk(router, source, destination, start)

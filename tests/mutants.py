@@ -78,12 +78,8 @@ MUTANTS = (
     Mutant(
         "key searches by destination only",
         ROUTING,
-        "    search = router.searches.get((destination, used))\n"
-        "    if search is None:\n"
-        "        search = _take_search(router, destination, used)\n",
-        "    search = router.searches.get(destination)\n"
-        "    if search is None:\n"
-        "        search = router.searches[destination] = _take_search(router, destination, used)\n",
+        "    key = (destination, used)\n",
+        "    key = destination\n",
         "CHANGES.md line 9: keying searches by destination only",
     ),
     Mutant(
@@ -176,6 +172,47 @@ MUTANTS = (
         "(4.0 * eta * eta - 1.0) / 3.0",
         "(4.0 * eta - 1.0) / 3.0",
         "CHANGES.md line 2: the swap factor (4 eta - 1) / 3",
+    ),
+    Mutant(
+        "serve requests in reverse theta order",
+        ROUTING,
+        "for request in ordered:",
+        "for request in reversed(ordered):",
+        "CHANGES.md line 2: serving requests in reverse theta order",
+    ),
+    Mutant(
+        "do not re-queue the destination's zero-label bucket",
+        ROUTING,
+        "                            heappush(labels, via)\n",
+        # A tier destination gives its neighbour label 0, whose bucket was
+        # popped: the label goes into no heap, so the neighbour is never
+        # expanded.
+        "                            if via:\n"
+        "                                heappush(labels, via)\n",
+        "CHANGES.md line 37: copies of the router that do not re-queue the "
+        "destination's zero-label bucket",
+    ),
+    Mutant(
+        "run block 0 one draw too long",
+        EXPERIMENT,
+        "spans = [range(b * draws // workers, (b + 1) * draws // workers) for b in range(workers)]",
+        "spans = [range(b * draws // workers, (b + 1) * draws // workers + (b == 0))"
+        " for b in range(workers)]",
+        "CHANGES.md line 19: block 0 one draw too long",
+    ),
+    Mutant(
+        "drop the thread check",
+        EXPERIMENT,
+        "cpus = _workers() if threading.active_count() == 1 else 1",
+        "cpus = _workers()",
+        "CHANGES.md line 19: no thread check",
+    ),
+    Mutant(
+        "drop the wrapper check",
+        EXPERIMENT,
+        'wrapped = getattr(allocate_batch, "__code__", None) is not _ENGINE_CODE',
+        "wrapped = False",
+        "CHANGES.md line 19: no wrapper check",
     ),
 )
 

@@ -347,6 +347,18 @@ def test_off_grid_xi_warns():
         sweep_xi(replace(SMALL, num_class_draws=2))
 
 
+def test_run_trial_warns_on_an_off_grid_xi():
+    """A single trial rounds an off-grid xi as a sweep does, and says so:
+    at n=5, xi=0.5 upgrades round(12.5) = 12 nodes.  The warning points at
+    the caller of ``run_trial``; an on-grid xi warns nothing."""
+    with pytest.warns(UserWarning, match="rounds to 12") as caught:
+        run_trial(SMALL, 0.5, 0, 0)
+    assert [w.filename for w in caught] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_trial(SMALL, 0.48, 0, 0)
+
+
 def test_blocking_grows_with_threshold():
     cfg = replace(SMALL, num_class_draws=15, xi_values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
     points = study_blocking(cfg, f_bar_values=(0.0, 0.53, 0.7))
@@ -588,7 +600,8 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
     last = routing._last
     assert last is routers[-1]
     for (source, destination, used), route in last.routes.items():
-        assert route == cheapest_route(last.frame, last.costs, source, destination, used)
+        fresh = routing._search(last.frame, destination)
+        assert route == cheapest_route(last.frame, last.costs, source, destination, used, fresh)
     graph = replace(base_network(cfg.topology, cfg.n), classes=last.classes)
     # A one-class graph (the last, at xi = 1) pairs its rate with itself.
     assert last.rates == (cfg.eta_h, cfg.eta_l if cfg.lq_class() in last.classes else cfg.eta_h)
@@ -604,9 +617,10 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
     assert last.searches
     for (destination, used), search in last.searches.items():
         for source in map(graph.source_id, range(graph.n)):
+            fresh = routing._search(last.frame, destination)
             assert cheapest_route(
                 last.frame, last.costs, source, destination, used, search
-            ) == cheapest_route(last.frame, last.costs, source, destination, used)
+            ) == cheapest_route(last.frame, last.costs, source, destination, used, fresh)
 
 
 def test_each_destination_and_residual_is_searched_once_per_graph(
@@ -620,11 +634,9 @@ def test_each_destination_and_residual_is_searched_once_per_graph(
     route = routing.cheapest_route
 
     def counted(*args):
-        _, _, _, destination, used, *search = args
-        # A call without a search state searches afresh.
-        state = search[0] if search else object()
-        alive.append((routing._last, state))
-        states.setdefault((id(routing._last), destination, used), set()).add(id(state))
+        _, _, _, destination, used, search = args
+        alive.append((routing._last, search))
+        states.setdefault((id(routing._last), destination, used), set()).add(id(search))
         return route(*args)
 
     monkeypatch.setattr(routing, "cheapest_route", counted)

@@ -438,6 +438,35 @@ def test_another_link_fidelity_reuses_the_graphs_routes():
     assert {HQ, LQ} <= set(g.classes)
 
 
+def test_shortest_path_and_allocate_batch_share_one_route_memo():
+    """``shortest_path`` routes through the memo that ``allocate_batch``
+    reads: a batch after it on the same mixed aware graph walks no route and
+    allocates the same path.  A residual copy of the graph (same classes
+    tuple) is one more key of that memo: it walks once, matches the
+    exhaustive oracle, and a repeated call reads the route table."""
+    g = assign_classes(build_network(CYLINDER, 5), 0.48, HQ, LQ, np.random.default_rng(3))
+    assert {HQ, LQ} <= set(g.classes)
+    aware = noise_aware_mapping(LQ.eta)
+    s, d = g.source_id(0), g.destination_id(3)
+    routing._last = None
+    path = shortest_path(g, s, d, aware)
+    assert path is not None
+    before = routing.counters.walks
+    [allocation], _ = allocate_batch(g, [RoutingRequest(s, d, 1)], aware, 0.0, 0.975)
+    assert routing.counters.walks == before
+    assert allocation.path == path
+
+    residual = without_edges(g, list(itertools.pairwise(path))[1:2])
+    assert residual.classes is g.classes
+    before = routing.counters.walks
+    got = shortest_path(residual, s, d, aware)
+    assert routing.counters.walks == before + 1
+    want = branch_and_bound_best(residual, s, d, aware)
+    assert got == (None if want is None else want[1]) != path
+    assert shortest_path(residual, s, d, aware) == got
+    assert routing.counters.walks == before + 1
+
+
 def test_uniform_cost_graphs_share_one_route_table():
     """Graphs whose transport nodes all cost the same share their routes
     whatever the mapping and the cost scale, also across a graph with mixed
