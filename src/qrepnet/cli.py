@@ -377,7 +377,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
         ("version", __version__),
         ("started", started),
         ("finished", _now()),
-        ("workers", experiment._pool_workers(passes, cfg, len(cfg.resolved_xi()))),
+        ("workers", experiment._pool_workers(passes, cfg)),
         *outputs,
         *((key, derived[key] if key in derived else getattr(cfg, field))
           for key, (field, *_) in _KEYS.items() if key != study.owns),

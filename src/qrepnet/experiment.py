@@ -235,7 +235,6 @@ class TrialRecord:
 
 def _sweep(
     config: ExperimentConfig,
-    xi_values: Sequence[float],
     f_bars: Sequence[float],
     pairing_indices: Sequence[int] | None = None,
     class_draws: Sequence[int] | None = None,
@@ -243,8 +242,9 @@ def _sweep(
     """The trial engine: every batch of a config, class draw by class draw.
 
     Yields ``(i, j, p, graph, allocations, blocked)`` per batch the moment
-    it is served, ``i``, ``j`` and ``p`` indexing ``xi_values``, ``f_bars``
-    and the pairings, ``graph`` being the classed network.  Pairings are
+    it is served, ``i``, ``j`` and ``p`` indexing the config's xi values,
+    ``f_bars`` and the pairings, ``graph`` being the classed network.  Every
+    batch serves the ``n`` requests of one pairing.  Pairings are
     drawn once.  Each class draw draws its upgrade permutation and
     establishment orders, drops them once done and walks xi in ascending
     upgrade count, so each graph only lowers the node costs of the last and
@@ -269,7 +269,7 @@ def _sweep(
          for row, to in enumerate(draw_pairing(seed, config.n, p))]
         for p in pairing_indices
     ]
-    upgrades = sorted((round(xi * num), i) for i, xi in enumerate(xi_values))
+    upgrades = sorted((round(xi * num), i) for i, xi in enumerate(config.resolved_xi()))
     ascending = sorted(enumerate(f_bars), key=itemgetter(1))
     hq, lq = config.hq_class(), config.lq_class()
     mapping = config.weight_mapping()
@@ -311,9 +311,15 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:
-    """The processes that fold a study of ``passes`` passes over ``num_xi``
-    upgrade fractions; 1 folds it in process.
+def _point_requests(config: ExperimentConfig) -> int:
+    """The requests a config serves at one (xi, threshold) point: one batch
+    of ``n`` per pairing draw and class draw."""
+    return config.num_class_draws * config.num_pair_draws * config.n
+
+
+def _pool_workers(passes: int, config: ExperimentConfig) -> int:
+    """The processes that fold a study of ``passes`` passes of ``config``;
+    1 folds it in process.
 
     Later thresholds take a graph's batches from a lower threshold or serve
     them from the routing memo, so the requests of one threshold measure
@@ -326,7 +332,7 @@ def _pool_workers(passes: int, config: ExperimentConfig, num_xi: int) -> int:
     machine, is stopped by OpenBLAS's own fork handler: the parent and the
     child each run one thread after a fork.
     """
-    requests = passes * config.num_class_draws * num_xi * config.num_pair_draws * config.n
+    requests = passes * len(config.resolved_xi()) * _point_requests(config)
     wrapped = getattr(allocate_batch, "__code__", None) is not _ENGINE_CODE
     if requests < _MIN_POOLED_REQUESTS or sys.platform != "linux" or wrapped:
         return 1
@@ -412,29 +418,31 @@ def _forked(
 
 
 def _map_draws(
-    fold: Callable[..., list], configs: Sequence[ExperimentConfig],
-    xi_values: Sequence[float], f_bars: Sequence[float],
+    fold: Callable[..., list], configs: Sequence[ExperimentConfig], f_bars: Sequence[float],
 ) -> list[list]:
     """Fold the class draws of each config, one pass of a study each.
 
-    ``fold(config, xi_values, f_bars, draws)`` folds the batches that
-    :func:`_sweep` serves for the class draws ``draws`` into a list whose
-    items merge exactly with ``+``.  With ``W`` workers (see
-    :func:`_pool_workers`) the ``K`` draws split into ``W`` blocks, block
-    ``b`` covering ``[b K // W, (b + 1) K // W)``, and each block is folded
-    for every config in turn, in a child forked once for it with its own
-    pipe (:func:`_forked`), so a later config reuses the routes of earlier
-    ones; the parent adds up the workers' :data:`routing.counters`.  The
+    ``fold(config, f_bars, draws)`` folds the batches that :func:`_sweep`
+    serves for the class draws ``draws`` into a list whose items merge
+    exactly with ``+``.  The configs share one xi grid; an xi off the
+    ``1 / n**2`` grid warns here, pointing at the study's caller.  With
+    ``W`` workers (see :func:`_pool_workers`) the ``K`` draws split into
+    ``W`` blocks, block ``b`` covering ``[b K // W, (b + 1) K // W)``, and
+    each block is folded for every config in turn, in a child forked once
+    for it with its own pipe (:func:`_forked`), so a later config reuses
+    the routes of earlier ones; the parent adds up the workers'
+    :data:`routing.counters`.  The
     blocks merge item by item in draw order.  Passes folded by separate
     calls, as the :func:`sweep_xi` calls of :func:`sweep_eta_l` are, share
     no worker: each call forks its own, with the parent's routing memo.
     """
+    _warn_off_grid(configs[0], stacklevel=4)
     draws = configs[0].num_class_draws
-    workers = _pool_workers(len(configs), configs[0], len(xi_values))
+    workers = _pool_workers(len(configs), configs[0])
     spans = [range(b * draws // workers, (b + 1) * draws // workers) for b in range(workers)]
 
     def block(span: range) -> list[list]:
-        return [fold(config, xi_values, f_bars, span) for config in configs]
+        return [fold(config, f_bars, span) for config in configs]
 
     if workers > 1:
         blocks, counted = _forked([partial(block, span) for span in spans])
@@ -453,11 +461,10 @@ def run_trial(
 
     An ``xi`` off the ``1 / n**2`` grid rounds its upgraded node count and
     warns, as every study does."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
-    _warn_off_grid((xi,), config.n)
+    trial = replace(config, xi_values=(xi,))
+    _warn_off_grid(trial, stacklevel=3)
     [(_, _, _, graph, allocations, _)] = _sweep(
-        config, (xi,), (config.f_bar,), (pairing_index,), (class_draw,)
+        trial, (config.f_bar,), (pairing_index,), (class_draw,)
     )
     hq, lq = config.hq_class(), config.lq_class()
     outcomes = []
@@ -572,29 +579,27 @@ def _xi_summary(
     )
 
 
-def _warn_off_grid(xi_values: Sequence[float], n: int) -> None:
-    num = n * n
-    for xi in xi_values:
+def _warn_off_grid(config: ExperimentConfig, stacklevel: int) -> None:
+    num = config.n * config.n
+    for xi in config.resolved_xi():
         k = xi * num
         if abs(k - round(k)) > 1e-9:
             warnings.warn(
                 f"xi={xi} is not a multiple of 1/{num}; "
                 f"the upgraded node count rounds to {round(k)}",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
 
 def _fold_histograms(
-    config: ExperimentConfig, xi_values: Sequence[float], f_bars: Sequence[float], draws: range
-) -> list:
-    """Per xi the requests served, then per xi the (path node count,
-    fidelity) -> count histogram of the allocated ones."""
-    requests = [0] * len(xi_values)
-    histograms: list[Counter[tuple[int, float]]] = [Counter() for _ in xi_values]
-    for i, _, _, _, allocations, _ in _sweep(config, xi_values, f_bars, None, draws):
-        requests[i] += len(allocations)
+    config: ExperimentConfig, f_bars: Sequence[float], draws: range
+) -> list[Counter[tuple[int, float]]]:
+    """Per xi the (path node count, fidelity) -> count histogram of the
+    allocated requests."""
+    histograms: list[Counter[tuple[int, float]]] = [Counter() for _ in config.resolved_xi()]
+    for i, _, _, _, allocations, _ in _sweep(config, f_bars, None, draws):
         histograms[i].update((len(a.path), a.fidelity) for a in allocations if a.path)
-    return requests + histograms
+    return histograms
 
 
 def sweep_xi(config: ExperimentConfig) -> SweepSummary:
@@ -605,13 +610,12 @@ def sweep_xi(config: ExperimentConfig) -> SweepSummary:
     only, with more CPUs than one and no other thread running).
     """
     xi_values = config.resolved_xi()
-    _warn_off_grid(xi_values, config.n)
-    [merged] = _map_draws(_fold_histograms, [config], xi_values, (config.f_bar,))
-    requests, histograms = merged[:len(xi_values)], merged[len(xi_values):]
+    [histograms] = _map_draws(_fold_histograms, [config], (config.f_bar,))
+    requests = _point_requests(config)
     return SweepSummary(
         config,
-        tuple(map(_xi_summary, xi_values, requests, histograms)),
-        _xi_summary(None, sum(requests), sum(histograms, Counter())),
+        tuple(_xi_summary(xi, requests, h) for xi, h in zip(xi_values, histograms)),
+        _xi_summary(None, requests * len(xi_values), sum(histograms, Counter())),
     )
 
 
@@ -648,13 +652,13 @@ class ThetaProfile:
 
 
 def _fold_samples(
-    config: ExperimentConfig, xi_values: Sequence[float], f_bars: Sequence[float], draws: range
+    config: ExperimentConfig, f_bars: Sequence[float], draws: range
 ) -> list[list[float]]:
     """The allocated fidelities per (xi, theta, pairing), that index running
     fastest over pairings, each list in class-draw order."""
     n, pairings = config.n, config.num_pair_draws
-    samples: list[list[float]] = [[] for _ in range(len(xi_values) * n * pairings)]
-    for i, _, p, _, allocations, _ in _sweep(config, xi_values, f_bars, None, draws):
+    samples: list[list[float]] = [[] for _ in range(len(config.resolved_xi()) * n * pairings)]
+    for i, _, p, _, allocations, _ in _sweep(config, f_bars, None, draws):
         for a in allocations:
             if a.path is not None:
                 samples[(i * n + a.request.theta - 1) * pairings + p].append(a.fidelity)
@@ -672,14 +676,13 @@ def study_noise_awareness(config: ExperimentConfig) -> tuple[ThetaProfile, ...]:
     """
     if config.f_bar != 0.0:
         raise ValueError("the noise-awareness study requires f_bar = 0")
-    xi_values = tuple(config.xi_values if config.xi_values is not None else COARSE_XI_GRID)
-    _warn_off_grid(xi_values, config.n)
+    xi_values = config.xi_values or COARSE_XI_GRID
     configs = [replace(config, mapping=m, xi_values=xi_values) for m in MAPPINGS]
     k = config.num_pair_draws
     return tuple(
         ThetaProfile(mapping, xi, theta, tuple(chain.from_iterable(samples[i * k : i * k + k])))
         for mapping, samples in zip(
-            MAPPINGS, _map_draws(_fold_samples, configs, xi_values, (0.0,))
+            MAPPINGS, _map_draws(_fold_samples, configs, (0.0,))
         )
         for i, (xi, theta) in enumerate(product(xi_values, range(1, config.n + 1)))
     )
@@ -693,16 +696,13 @@ class BlockingPoint:
     blocking_probability: float
 
 
-def _count_blocks(
-    config: ExperimentConfig, xi_values: Sequence[float], f_bars: Sequence[float], draws: range
-) -> list[int]:
-    """Requests and blocks per (threshold, xi), xi running fastest."""
-    counts = [0] * (2 * len(f_bars) * len(xi_values))
-    for i, j, _, _, allocations, blocked in _sweep(config, xi_values, f_bars, None, draws):
-        k = 2 * (j * len(xi_values) + i)
-        counts[k] += len(allocations)
-        counts[k + 1] += blocked
-    return counts
+def _count_blocks(config: ExperimentConfig, f_bars: Sequence[float], draws: range) -> list[int]:
+    """Blocked requests per (threshold, xi), xi running fastest."""
+    num_xi = len(config.resolved_xi())
+    blocks = [0] * (len(f_bars) * num_xi)
+    for i, j, _, _, _, blocked in _sweep(config, f_bars, None, draws):
+        blocks[j * num_xi + i] += blocked
+    return blocks
 
 
 def study_blocking(
@@ -718,15 +718,10 @@ def study_blocking(
     """
     for f_bar in f_bar_values:
         replace(config, f_bar=f_bar)  # validates the threshold
-    xi_values = config.resolved_xi()
-    _warn_off_grid(xi_values, config.n)
     configs = [replace(config, mapping=m) for m in MAPPINGS]
+    requests = _point_requests(config)
     return tuple(
         BlockingPoint(mapping, f_bar, xi, blocked / requests)
-        for mapping, counts in zip(
-            MAPPINGS, _map_draws(_count_blocks, configs, xi_values, f_bar_values)
-        )
-        for (f_bar, xi), requests, blocked in zip(
-            product(f_bar_values, xi_values), counts[::2], counts[1::2]
-        )
+        for mapping, blocks in zip(MAPPINGS, _map_draws(_count_blocks, configs, f_bar_values))
+        for (f_bar, xi), blocked in zip(product(f_bar_values, config.resolved_xi()), blocks)
     )

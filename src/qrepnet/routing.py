@@ -53,7 +53,7 @@ from enum import Enum
 from functools import cache, lru_cache
 from heapq import heappop, heappush
 from math import inf, isfinite, lcm
-from operator import attrgetter, le
+from operator import attrgetter, index, le
 from typing import NamedTuple
 
 import numpy as np
@@ -125,6 +125,10 @@ class RoutingRequest:
     theta: int
 
     def __post_init__(self) -> None:
+        # Ids index the router's lists and key its memos, so they are kept as
+        # ints: a numpy integer is converted, a float raises TypeError.
+        object.__setattr__(self, "source", index(self.source))
+        object.__setattr__(self, "destination", index(self.destination))
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
 
@@ -539,8 +543,9 @@ def shortest_path(
     holds for (source, destination, missing edges) is read from it, and a
     miss is routed by :func:`_walk`, on the memo's searches, and adds to
     :data:`counters`.  An endpoint that is no node of ``graph`` is a
-    ``ValueError``.
+    ``ValueError``, and one that is no integer a ``TypeError``.
     """
+    source, destination = index(source), index(destination)
     if source == destination:
         raise ValueError("source and destination must differ")
     frame, used = network_frame(graph)

@@ -15,7 +15,7 @@ Node ids are assigned row-major: transport node ``(row, col)`` is
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -86,13 +86,7 @@ class NetworkGraph:
         return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
 
     def copy(self) -> "NetworkGraph":
-        return NetworkGraph(
-            topology=self.topology,
-            n=self.n,
-            kinds=self.kinds,
-            classes=self.classes,
-            adjacency={v: set(nbrs) for v, nbrs in self.adjacency.items()},
-        )
+        return replace(self, adjacency={v: set(nbrs) for v, nbrs in self.adjacency.items()})
 
     def with_classes(self, assignment: Mapping[int, NoiseClass]) -> "NetworkGraph":
         """Return a copy with the given node -> class mapping applied."""
@@ -101,9 +95,7 @@ class NetworkGraph:
             if self.kinds[v] is not NodeKind.TRANSPORT:
                 raise ValueError(f"node {v} is not a transport node")
             classes[v] = cls
-        out = self.copy()
-        out.classes = tuple(classes)
-        return out
+        return replace(self.copy(), classes=tuple(classes))
 
 
 def _add_edge(adjacency: dict[int, set[int]], u: int, v: int) -> None:

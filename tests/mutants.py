@@ -134,9 +134,27 @@ MUTANTS = (
     Mutant(
         "pool the sweep total without the last xi",
         EXPERIMENT,
-        "_xi_summary(None, sum(requests), sum(histograms, Counter())),",
-        "_xi_summary(None, sum(requests), sum(histograms[:-1], Counter())),",
+        "_xi_summary(None, requests * len(xi_values), sum(histograms, Counter())),",
+        "_xi_summary(None, requests * len(xi_values), sum(histograms[:-1], Counter())),",
         "CHANGES.md line 47: the sweep total built without the last xi's histogram",
+    ),
+    # The noise-awareness fold keeps every sample by design, so only the
+    # two folds of bounded state have a buffering mutant.
+    Mutant(
+        "buffer a blocking pass before folding it",
+        EXPERIMENT,
+        "for i, j, _, _, _, blocked in _sweep(config, f_bars, None, draws):",
+        "for i, j, _, _, _, blocked in list(_sweep(config, f_bars, None, draws)):",
+        "CHANGES.md line 7: an engine that holds every batch of a run before "
+        "the study folds it",
+    ),
+    Mutant(
+        "buffer a sweep before folding it",
+        EXPERIMENT,
+        "for i, _, _, _, allocations, _ in _sweep(config, f_bars, None, draws):",
+        "for i, _, _, _, allocations, _ in list(_sweep(config, f_bars, None, draws)):",
+        "CHANGES.md line 7: an engine that holds every batch of a run before "
+        "the study folds it",
     ),
     Mutant(
         "take a theta mean by a float sum",

@@ -339,9 +339,13 @@ def test_sweep_is_reproducible():
 
 
 def test_off_grid_xi_warns():
+    """Every study warns once about an xi off the ``1 / n**2`` grid, at its
+    caller; a grid of multiples of ``1 / n**2`` warns nothing."""
     cfg = replace(SMALL, xi_values=(0.3,), num_class_draws=2)
-    with pytest.warns(UserWarning, match="not a multiple"):
-        sweep_xi(cfg)
+    for study in (sweep_xi, study_blocking, study_noise_awareness):
+        with pytest.warns(UserWarning, match="not a multiple") as caught:
+            study(cfg)
+        assert [w.filename for w in caught] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sweep_xi(replace(SMALL, num_class_draws=2))
@@ -489,7 +493,7 @@ def test_every_pooled_sweep_batch_is_counted(monkeypatch):
     monkeypatch.setattr(routing, "counters", routing.Counters())
     routing._last = None
     cfg = replace(SMALL, mapping=AWARE, f_bar=0.3)
-    assert experiment._pool_workers(1, cfg, len(SMALL.xi_values)) == 2
+    assert experiment._pool_workers(1, cfg) == 2
     summary = sweep_xi(cfg)
     # The parent routed nothing itself.
     assert routing._last is None
@@ -517,9 +521,9 @@ def test_blocking_study_is_one_pass_per_mapping(monkeypatch, in_process):
     passes = []
     engine = experiment._sweep
 
-    def counted(config, xi_values, f_bars, *args):
+    def counted(config, f_bars, *args):
         passes.append((config.mapping, tuple(f_bars)))
-        return engine(config, xi_values, f_bars, *args)
+        return engine(config, f_bars, *args)
 
     monkeypatch.setattr(experiment, "_sweep", counted)
     f_bars = (0.3, 0.0, 0.28, 0.3)
@@ -651,7 +655,9 @@ def test_sweep_graphs_share_the_routing_frame_adjacency():
     which ``network_frame`` recognises by identity; an equal graph built by
     a caller maps to the same frame, with no edge missing, by a scan of its
     edges."""
-    [(_, _, _, graph, _, _)] = experiment._sweep(SMALL, (0.4,), (0.0,), (0,), (0,))
+    [(_, _, _, graph, _, _)] = experiment._sweep(
+        replace(SMALL, xi_values=(0.4,)), (0.0,), (0,), (0,)
+    )
     frame, used = network_frame(graph)
     assert graph.adjacency is frame.adjacency and used == 0
     built = build_network(SMALL.topology, SMALL.n)
@@ -835,7 +841,7 @@ def test_blocking_work_counts_are_pinned(monkeypatch):
     # 2 mappings x 3 class draws x 26 xi x 2 pairings x 5 requests at one
     # threshold: 1,560, below the fork floor.
     assert len(cfg.resolved_xi()) == 26
-    assert experiment._pool_workers(2, cfg, 26) == 1
+    assert experiment._pool_workers(2, cfg) == 1
     monkeypatch.setattr(routing, "counters", routing.Counters())
     monkeypatch.setattr(routing, "_last", None)
     routing._fidelity.cache_clear()
@@ -862,7 +868,7 @@ def test_stress_work_counts_are_pinned(monkeypatch):
     )
     # 2 mappings x 3 class draws x 21 xi x 2 pairings x 10 requests at one
     # threshold: 2,520, below the fork floor.
-    assert experiment._pool_workers(2, cfg, 21) == 1
+    assert experiment._pool_workers(2, cfg) == 1
     monkeypatch.setattr(routing, "counters", routing.Counters())
     monkeypatch.setattr(routing, "_last", None)
     routing._fidelity.cache_clear()
@@ -948,7 +954,7 @@ def test_studies_are_bit_identical_at_any_worker_count(monkeypatch, draws):
         use_workers(monkeypatch, workers)
         # Each worker folds one block of class draws, for both passes of
         # the blocking study.
-        pooled = experiment._pool_workers(2, cfg, len(cfg.xi_values))
+        pooled = experiment._pool_workers(2, cfg)
         assert pooled == min(workers, draws)
         assert all_studies(monkeypatch, cfg) == (serial, counts)
 
@@ -978,14 +984,14 @@ def test_studies_fold_in_process_while_another_thread_runs(monkeypatch):
 
     use_workers(monkeypatch, 2)
     cfg = replace(SMALL, f_bar=0.3)
-    assert experiment._pool_workers(1, cfg, len(cfg.xi_values)) == 2
+    assert experiment._pool_workers(1, cfg) == 2
     pooled = sweep_xi(cfg)
     refuse_pool(monkeypatch)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert experiment._pool_workers(1, cfg, len(cfg.xi_values)) == 1
+        assert experiment._pool_workers(1, cfg) == 1
         assert sweep_xi(cfg) == pooled
     finally:
         stop.set()
@@ -1040,14 +1046,14 @@ def test_a_failing_worker_fails_the_study_and_leaves_no_child(
     worker has been reaped by then."""
     fold = experiment._fold_histograms
 
-    def failing(config, xi_values, f_bars, draws):
+    def failing(config, f_bars, draws):
         if draws.start:  # the second block, in the second worker
             failure(draws.start)
-        return fold(config, xi_values, f_bars, draws)
+        return fold(config, f_bars, draws)
 
     use_workers(monkeypatch, 2)
     monkeypatch.setattr(experiment, "_fold_histograms", failing)
-    assert experiment._pool_workers(1, SMALL, len(SMALL.xi_values)) == 2
+    assert experiment._pool_workers(1, SMALL) == 2
     with pytest.raises(error, match=message):
         sweep_xi(SMALL)
     assert_no_child_left()
@@ -1058,10 +1064,10 @@ def test_an_error_in_the_parent_kills_and_reaps_every_worker(monkeypatch):
     read the first worker's result) kills that worker rather than wait."""
     fold = experiment._fold_histograms
 
-    def slow(config, xi_values, f_bars, draws):
+    def slow(config, f_bars, draws):
         if draws.start:
             time.sleep(60)
-        return fold(config, xi_values, f_bars, draws)
+        return fold(config, f_bars, draws)
 
     def interrupted(data):
         raise KeyboardInterrupt
@@ -1085,7 +1091,7 @@ def test_a_pooled_study_imports_no_process_pool_machinery():
         "experiment._workers = lambda: 2\n"
         "experiment._MIN_POOLED_REQUESTS = 0\n"
         "config = experiment.ExperimentConfig(num_pair_draws=1, num_class_draws=4, n=3)\n"
-        "assert experiment._pool_workers(1, config, 10) == 2\n"
+        "assert experiment._pool_workers(1, config) == 2\n"
         "experiment.sweep_xi(config)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
         "             ('concurrent', 'multiprocessing')))\n"
