@@ -96,12 +96,13 @@ def read_config(path: str | Path) -> dict[str, list[str]]:
     Repeatable keys may appear several times or hold comma-separated values;
     ``#`` at the start of a line or after whitespace starts a comment.
     ``out-dir`` is read whole, commas included.  A key with no value is a
-    usage error, and so is a file that cannot be read or is not UTF-8.
+    usage error, and so is a file that cannot be read or is not UTF-8; a
+    leading UTF-8 byte-order mark is skipped.
     Manifest bookkeeping keys are skipped so a run manifest doubles as a
     config file.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except OSError as exc:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
 from heapq import heappop, heappush
-from math import inf, isfinite, lcm
+from math import inf, lcm
 from operator import attrgetter, index, le
 from typing import NamedTuple
 
@@ -170,7 +170,9 @@ def _two_classes(
     The class of the higher noise rate, then of the smaller label, is the
     high-quality one, and a graph of one class pairs its rate with itself.  A
     node's flag is 1 when it belongs to the low-quality class and 0
-    otherwise, tier nodes included.
+    otherwise, tier nodes included.  A class's weight must be positive and
+    finite, or it is a ``ValueError``: this is the one check of the
+    weights, which a NaN fails too.
     """
     transport = graph.classes[: graph.num_transport]
     distinct = set(transport)
@@ -181,10 +183,10 @@ def _two_classes(
     classes = sorted(distinct, key=lambda cls: (-cls.eta, cls.label))
     weights = []
     for cls in classes:
-        w = mapping(cls.eta)
-        if w <= 0.0:
-            raise ValueError(f"weight mapping returned non-positive weight {w} for {cls.label}")
-        weights.append(float(w))
+        w = float(mapping(cls.eta))
+        if not 0.0 < w < inf:
+            raise ValueError(f"node weight must be positive and finite, got {w} for {cls.label}")
+        weights.append(w)
     flags = tuple(int(cls != classes[0]) for cls in transport)
     cost = integer_costs(weights)
     tiers = (0,) * (graph.num_nodes - len(flags))
@@ -193,17 +195,14 @@ def _two_classes(
 
 
 def integer_costs(weights: Sequence[float]) -> tuple[int, ...]:
-    """Scale non-negative finite weights to integers in the same exact ratios.
+    """Scale non-negative finite weights to integers in the same exact ratios;
+    the caller checks the weights (see :func:`_two_classes`).
 
     Every weight is multiplied by the least common multiple of the
     denominators of the weights' exact binary fractions, so integer weights
     map to themselves and path costs compare without rounding.
     """
-    ratios = []
-    for w in weights:
-        if not (isfinite(w) and w >= 0.0):
-            raise ValueError(f"node weight must be finite and non-negative, got {w}")
-        ratios.append(float(w).as_integer_ratio())
+    ratios = [float(w).as_integer_ratio() for w in weights]
     scale = lcm(*(q for _, q in ratios))
     return tuple(p * (scale // q) for p, q in ratios)
 
@@ -219,12 +218,11 @@ class Frame(NamedTuple):
     """The static edge structure of a base network.
 
     ``neighbours[v]`` lists ``(w, bit)`` for every neighbour ``w`` of ``v`` in
-    increasing id order, ``bit`` being the edge's flag in a residual mask;
-    ``edges`` lists every edge once as ``(u, v, bit)``, and ``adjacency``
-    is the base network's own.
+    increasing id order, ``bit`` being the edge's flag in a residual mask,
+    so each edge is listed from both of its ends; ``adjacency`` is the base
+    network's own.
     """
 
-    edges: tuple[tuple[int, int, int], ...]
     neighbours: tuple[tuple[tuple[int, int], ...], ...]
     adjacency: Mapping[int, set[int]]
 
@@ -237,11 +235,7 @@ def _base_frame(topology: str, n: int) -> Frame:
         tuple((w, bits[(v, w) if v < w else (w, v)]) for w in sorted(graph.adjacency[v]))
         for v in range(graph.num_nodes)
     )
-    return Frame(
-        tuple((u, v, bit) for (u, v), bit in bits.items()),
-        neighbours,
-        graph.adjacency,
-    )
+    return Frame(neighbours, graph.adjacency)
 
 
 def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
@@ -250,7 +244,9 @@ def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
     The base network is the one ``base_network`` gives for the graph's
     topology and width; the graph must be a subgraph of it.  A graph that
     shares the base network's adjacency is recognised by identity, any
-    other by a scan of the base edges.
+    other by a scan of the base edges from both of their ends, which must
+    meet every edge of the graph twice: an edge outside the base network,
+    or one that only one of its ends lists, is a ``ValueError``.
     """
     frame = _base_frame(graph.topology, graph.n)
     adjacency = graph.adjacency
@@ -258,12 +254,13 @@ def network_frame(graph: NetworkGraph) -> tuple[Frame, int]:
         return frame, 0
     if len(frame.neighbours) == graph.num_nodes:
         missing = kept = 0
-        for u, v, bit in frame.edges:
-            if v in adjacency[u]:
-                kept += 1
-            else:
-                missing |= bit
-        if kept == graph.num_edges:
+        for u, pairs in enumerate(frame.neighbours):
+            for v, bit in pairs:
+                if v in adjacency[u]:
+                    kept += 1
+                else:
+                    missing |= bit
+        if kept == 2 * graph.num_edges:
             return frame, missing
     raise ValueError("graph is not a subgraph of its base network")
 
@@ -542,15 +539,15 @@ def shortest_path(
     :func:`allocate_batch` does (see :func:`_router`): a route the memo
     holds for (source, destination, missing edges) is read from it, and a
     miss is routed by :func:`_walk`, on the memo's searches, and adds to
-    :data:`counters`.  An endpoint that is no node of ``graph`` is a
-    ``ValueError``, and one that is no integer a ``TypeError``.
+    :data:`counters`.  The endpoints are checked as a
+    :class:`RoutingRequest`'s are: one that is no integer is a
+    ``TypeError``, equal ones a ``ValueError``, and so is one that is no
+    node of ``graph``.
     """
-    source, destination = index(source), index(destination)
-    if source == destination:
-        raise ValueError("source and destination must differ")
+    request = RoutingRequest(source, destination, 1)
     frame, used = network_frame(graph)
     router = _router(graph, frame, mapping)
-    key = (source, destination, used)
+    key = (request.source, request.destination, used)
     route = router.routes[key] if key in router.routes else _walk(router, *key)
     return None if route is None else route.path
 
@@ -592,8 +589,11 @@ def allocate_batch(
     is computed once.  A request that meets consumed edges
     takes its route on ``graph`` itself when none of them lies on it (see
     the module's docstring).  Each call adds to :data:`counters`.  An
-    endpoint that is no node of ``graph`` is a ``ValueError``.
+    endpoint that is no node of ``graph`` is a ``ValueError``, and so is a
+    threshold outside [0, 1].
     """
+    if not 0.0 <= fidelity_threshold <= 1.0:
+        raise ValueError(f"fidelity threshold must lie in [0, 1], got {fidelity_threshold}")
     ordered = sorted(requests, key=_theta)
     if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
         raise ValueError("request thetas must be exactly 1..P")

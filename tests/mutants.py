@@ -232,6 +232,27 @@ MUTANTS = (
         "wrapped = False",
         "CHANGES.md line 19: no wrapper check",
     ),
+    Mutant(
+        "accept an infinite weight",
+        ROUTING,
+        "if not 0.0 < w < inf:",
+        "if not 0.0 < w:",
+        "CHANGES.md line 55: the weight check without its upper bound",
+    ),
+    Mutant(
+        "accept a graph with an edge outside its base network",
+        ROUTING,
+        "if kept == 2 * graph.num_edges:",
+        "if kept <= 2 * graph.num_edges:",
+        "CHANGES.md line 55: the subgraph scan that counts edges with `<=`",
+    ),
+    Mutant(
+        "accept any threshold",
+        ROUTING,
+        "if not 0.0 <= fidelity_threshold <= 1.0:",
+        "if False:",
+        "CHANGES.md line 55: `allocate_batch` without its threshold check",
+    ),
 )
 
 

@@ -353,6 +353,20 @@ def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, content):
     assert not out.exists()
 
 
+def test_a_config_with_a_byte_order_mark_runs_as_without_it(tmp_path):
+    """A config saved with a UTF-8 byte-order mark, as some editors save
+    one, gives the same CSV bytes as the same file without it."""
+    text = "n=3\npair-draws=1\nclass-draws=2\nxi=0,1\nf-bar=0.6\n".encode()
+    written = []
+    for name, content in [("plain", text), ("bom", b"\xef\xbb\xbf" + text)]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(content)
+        out = tmp_path / name
+        assert run(["blocking", "--config", cfg, "--out-dir", out]) == 0
+        written.append((out / "blocking_vs_xi.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
 def test_a_config_that_cannot_be_read_exits_2(tmp_path, capsys, name):
     cfg = tmp_path / name

@@ -208,6 +208,32 @@ def test_the_router_takes_two_classes_at_most(entry, assignment, message):
     assert entry(g.with_classes({0: HQ, 1: LQ, 2: NoiseClass("LQ", 0.8), 3: HQ}))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+def test_a_weight_that_is_not_positive_and_finite_is_rejected(bad):
+    """Both entry points reject a mapping that weighs the low-quality class
+    zero, negative, infinite or NaN, the last of which fails every ordered
+    comparison."""
+    g = build_network(GRID, 2).with_classes({0: HQ, 1: LQ, 2: LQ, 3: HQ})
+
+    def mapping(eta):
+        return bad if eta == LQ.eta else 1.0
+
+    message = "node weight must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        shortest_path(g, 4, 7, mapping)
+    with pytest.raises(ValueError, match=message):
+        allocate_batch(g, [RoutingRequest(4, 7, 1)], mapping, 0.0, 0.975)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, float("inf")])
+def test_allocate_batch_rejects_a_threshold_outside_the_unit_interval(threshold):
+    """A threshold is a fidelity: NaN, infinity or one above 1 would block
+    every request, and one below 0 would pass every route."""
+    g = all_lq(GRID, 2)
+    with pytest.raises(ValueError, match=r"fidelity threshold must lie in \[0, 1\]"):
+        allocate_batch(g, [RoutingRequest(4, 7, 1)], UNIT, threshold, 0.975)
+
+
 def test_mapping_constructors_validate():
     with pytest.raises(ValueError):
         noise_aware_mapping(0.8, 0.0)
@@ -732,14 +758,26 @@ def test_routing_rejects_edges_outside_the_base_network():
         shortest_path(g, 4, 7, UNIT)
 
 
+def test_an_edge_that_one_end_alone_lists_is_rejected():
+    """An adjacency must list each edge from both of its ends: one that
+    lists an edge from one end only is no network, and neither entry point
+    reads it as a network that lacks the edge."""
+    g = all_lq(GRID, 3)
+    cut = g.copy()
+    cut.adjacency[0].discard(1)
+    with pytest.raises(ValueError, match="subgraph"):
+        shortest_path(cut, g.source_id(0), g.destination_id(0), UNIT)
+    with pytest.raises(ValueError, match="subgraph"):
+        allocate_batch(
+            cut, [RoutingRequest(g.source_id(0), g.destination_id(0), 1)], UNIT, 0.0, 0.975
+        )
+
+
 def test_integer_costs_are_exact_and_keep_integer_weights():
     assert integer_costs((0.0, 1.0, 100.0)) == (0, 1, 100)
     costs = integer_costs((0.0, 1.0, 0.1))
     assert all(isinstance(c, int) for c in costs)
     assert Fraction(costs[2], costs[1]) == Fraction(0.1)
-    for bad in (float("inf"), float("nan"), -1.0):
-        with pytest.raises(ValueError):
-            integer_costs((1.0, bad))
 
 
 def test_batch_is_deterministic():
