@@ -51,7 +51,7 @@ from operator import add, itemgetter
 import numpy as np
 
 from . import routing
-from .fidelity import MIN_LINK_FIDELITY, MIN_NOISE_RATE, NoiseClass
+from .fidelity import NoiseClass, werner_parameter
 from .routing import (
     DEFAULT_LQ_WEIGHT,
     BlockReason,
@@ -162,21 +162,16 @@ class ExperimentConfig:
             for xi in self.xi_values:
                 if not 0.0 <= xi <= 1.0:
                     raise ValueError(f"upgrade fraction must lie in [0, 1], got {xi}")
-        for name, eta in (("eta_h", self.eta_h), ("eta_l", self.eta_l)):
-            if not MIN_NOISE_RATE < eta <= 1.0:
-                raise ValueError(f"{name} must lie in ({MIN_NOISE_RATE}, 1], got {eta}")
-        if not MIN_LINK_FIDELITY < self.link_fidelity <= 1.0:
-            raise ValueError(
-                f"link fidelity must lie in ({MIN_LINK_FIDELITY}, 1], got {self.link_fidelity}"
-            )
+        # Each model rule is checked by the code that owns it: the noise rate
+        # by NoiseClass, the link fidelity by werner_parameter and the aware
+        # weight by noise_aware_mapping, whichever mapping the config selects.
+        self.hq_class(), self.lq_class()
+        werner_parameter(self.link_fidelity)
         if not 0.0 <= self.f_bar <= 1.0:
             raise ValueError(f"fidelity threshold must lie in [0, 1], got {self.f_bar}")
         if self.mapping not in MAPPINGS:
             raise ValueError(f"unknown weight mapping {self.mapping!r}")
-        if not (isfinite(self.aware_weight) and self.aware_weight > 0.0):
-            raise ValueError(
-                f"aware weight must be positive and finite, got {self.aware_weight}"
-            )
+        noise_aware_mapping(self.eta_l, self.aware_weight)
         if self.num_pair_draws < 1 or self.num_class_draws < 1:
             raise ValueError("draw counts must be at least 1")
         if self.seed < 0:

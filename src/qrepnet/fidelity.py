@@ -72,16 +72,17 @@ def swap_noise_factor(eta: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseClass:
-    """A node quality class: a label plus the swap noise rate of its members."""
+    """A node quality class: a label plus the swap noise rate of its members.
+
+    The rate is checked by :func:`swap_noise_factor`, the one statement of
+    the noise-rate rule.
+    """
 
     label: str
     eta: float
 
     def __post_init__(self) -> None:
-        if not MIN_NOISE_RATE < self.eta <= 1.0:
-            raise ValueError(
-                f"noise rate must lie in ({MIN_NOISE_RATE}, 1], got {self.eta}"
-            )
+        swap_noise_factor(self.eta)
 
 
 def end_to_end_fidelity(class_counts: Mapping[NoiseClass, int], link_fidelity: float) -> float:

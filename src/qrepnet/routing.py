@@ -100,10 +100,11 @@ def noise_aware_mapping(
     A node counts as low quality when its noise rate equals ``lq_eta``.  With
     the default weight of 100 a single low-quality node costs more than any
     detour over high-quality ones, so routing avoids low-quality nodes
-    whenever the residual network allows it.
+    whenever the residual network allows it.  The weight must be positive
+    and finite, or it is a ``ValueError``, so a NaN fails too.
     """
-    if lq_weight <= 0.0:
-        raise ValueError(f"node weight must be positive, got {lq_weight}")
+    if not 0.0 < lq_weight < inf:
+        raise ValueError(f"aware weight must be positive and finite, got {lq_weight}")
 
     def weight(eta: float) -> float:
         return lq_weight if eta == lq_eta else 1.0
@@ -171,8 +172,9 @@ def _two_classes(
     high-quality one, and a graph of one class pairs its rate with itself.  A
     node's flag is 1 when it belongs to the low-quality class and 0
     otherwise, tier nodes included.  A class's weight must be positive and
-    finite, or it is a ``ValueError``: this is the one check of the
-    weights, which a NaN fails too.
+    finite, or it is a ``ValueError``, which a NaN fails too: this checks
+    the weights of any mapping, not only those :func:`noise_aware_mapping`
+    builds.
     """
     transport = graph.classes[: graph.num_transport]
     distinct = set(transport)
@@ -553,9 +555,10 @@ def shortest_path(
 
 
 def path_composition(graph: NetworkGraph, path: Sequence[int]) -> dict[NoiseClass, int]:
-    """Count the transport nodes of each noise class along a path."""
+    """Count the swapping nodes of each noise class along a path: its
+    interior transport nodes, whatever kind its ends are."""
     counts: dict[NoiseClass, int] = {}
-    for v in path:
+    for v in path[1:-1]:
         if graph.kinds[v] is not NodeKind.TRANSPORT:
             continue
         cls = graph.classes[v]
@@ -603,7 +606,6 @@ def allocate_batch(
     routes = router.routes
     eta_h, eta_l = router.rates
     flag = router.flags.__getitem__
-    tiers = graph.num_transport
     used = start
     counters.batches += 1
     counters.requests += len(ordered)
@@ -632,9 +634,10 @@ def allocate_batch(
             no_path += 1
         else:
             path = route.path
-            # Tier nodes are leaves, so only the ends of a route may be tier nodes.
-            n_l = sum(map(flag, path))
-            n_h = len(path) - (path[0] >= tiers) - (path[-1] >= tiers) - n_l
+            # The swapping nodes are the interior ones, whatever kind the ends are.
+            inner = path[1:-1]
+            n_l = sum(map(flag, inner))
+            n_h = len(inner) - n_l
             f = _fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
             if f >= fidelity_threshold:
                 used |= route.edges

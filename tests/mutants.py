@@ -253,6 +253,48 @@ MUTANTS = (
         "if False:",
         "CHANGES.md line 55: `allocate_batch` without its threshold check",
     ),
+    Mutant(
+        "accept an infinite aware weight",
+        ROUTING,
+        "if not 0.0 < lq_weight < inf:",
+        "if not 0.0 < lq_weight:",
+        "CHANGES.md line 58: the aware mapping's weight check without its upper bound",
+    ),
+    Mutant(
+        "config skips its noise-rate check",
+        EXPERIMENT,
+        "        self.hq_class(), self.lq_class()\n",
+        "        pass\n",
+        "CHANGES.md line 58: a config that builds no noise class",
+    ),
+    Mutant(
+        "config skips its link-fidelity check",
+        EXPERIMENT,
+        "        werner_parameter(self.link_fidelity)\n",
+        "        pass\n",
+        "CHANGES.md line 58: a config that checks no link fidelity",
+    ),
+    Mutant(
+        "NoiseClass accepts any rate",
+        FIDELITY,
+        "        swap_noise_factor(self.eta)\n",
+        "        pass\n",
+        "CHANGES.md line 58: a noise class that checks no rate",
+    ),
+    Mutant(
+        "score a transport endpoint as a swap",
+        ROUTING,
+        "inner = path[1:-1]",
+        "inner = path",
+        "CHANGES.md line 58: the parent's scoring, which subtracts tier endpoints only",
+    ),
+    Mutant(
+        "compose a transport endpoint as a swap",
+        ROUTING,
+        "for v in path[1:-1]:",
+        "for v in path:",
+        "CHANGES.md line 58: the parent's `path_composition`, which skips tier nodes only",
+    ),
 )
 
 

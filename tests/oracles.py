@@ -102,7 +102,8 @@ def reference_batch(graph, requests, mapping, threshold, link_fidelity, hq, lq):
     memo: in establishment order, each request takes its
     :func:`branch_and_bound_best` path on a residual copy of ``graph`` and
     is scored by ``two_class_fidelity`` of the path's ``hq`` and ``lq``
-    transport nodes.  Returns the allocations and the number blocked."""
+    interior transport nodes, the ones that swap.  Returns the allocations
+    and the number blocked."""
     residual = graph.copy()
     allocations = []
     for r in sorted(requests, key=lambda r: r.theta):
@@ -111,7 +112,9 @@ def reference_batch(graph, requests, mapping, threshold, link_fidelity, hq, lq):
             allocations.append(PathAllocation(r, None, None, BlockReason.NO_PATH))
             continue
         path = found[1]
-        counts = Counter(graph.classes[v] for v in path if graph.kinds[v] is NodeKind.TRANSPORT)
+        counts = Counter(
+            graph.classes[v] for v in path[1:-1] if graph.kinds[v] is NodeKind.TRANSPORT
+        )
         f = two_class_fidelity(counts[hq], counts[lq], hq.eta, lq.eta, link_fidelity)
         if f < threshold:
             allocations.append(PathAllocation(r, None, None, BlockReason.BELOW_THRESHOLD))

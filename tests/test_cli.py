@@ -226,15 +226,21 @@ def test_bad_core_width_fails_alike_from_flag_and_file(tmp_path, capsys):
     """``--n`` is cast where every other key is, and ``--topology`` and
     ``--mapping`` are checked where every other value is, so a width that is
     not a whole number, or a topology or mapping no study knows, fails with
-    one message, from a flag or a config file, and no output is written."""
+    one message, from a flag or a config file, and no output is written.
+    So does a noise rate, link fidelity or aware weight outside the model,
+    with the message of the code that owns its rule."""
     for command, key, value, message in [
         ("blocking", "n", "2.5", "invalid value for n: '2.5'"),
         ("blocking", "topology", "moebius", "unknown topology 'moebius'"),
         ("lq-sensitivity", "mapping", "psychic", "unknown weight mapping 'psychic'"),
+        ("blocking", "eta_h", "0.3", "noise rate must lie in (0.5, 1], got 0.3"),
+        ("blocking", "f", "0.2", "link fidelity must lie in (0.25, 1], got 0.2"),
+        ("blocking", "aware_weight", "nan", "aware weight must be positive and finite, got nan"),
     ]:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key}={value}\n")
-        for source in ([f"--{key}", value], ["--config", cfg]):
+        flag = f"--{key.replace('_', '-')}"
+        for source in ([flag, value], ["--config", cfg]):
             out = tmp_path / "never"
             assert run([command, *source, "--pair-draws", "1", "--out-dir", out]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"

@@ -234,9 +234,12 @@ def test_allocate_batch_rejects_a_threshold_outside_the_unit_interval(threshold)
         allocate_batch(g, [RoutingRequest(4, 7, 1)], UNIT, threshold, 0.975)
 
 
-def test_mapping_constructors_validate():
-    with pytest.raises(ValueError):
-        noise_aware_mapping(0.8, 0.0)
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+def test_mapping_constructors_validate(bad):
+    """The aware mapping's weight must be positive and finite when it is
+    built, so a NaN, which fails every ordered comparison, fails too."""
+    with pytest.raises(ValueError, match="aware weight must be positive and finite"):
+        noise_aware_mapping(0.8, bad)
     assert noise_aware_mapping(0.8, 50.0)(0.8) == 50.0
     assert noise_aware_mapping(0.8)(0.999) == 1.0
 
@@ -401,6 +404,22 @@ def test_allocation_fidelity_matches_composition():
             assert a.fidelity == pytest.approx(
                 two_class_fidelity(n_h, n_l, 0.999, 0.8, 0.975), abs=1e-12
             )
+
+
+def test_a_route_is_scored_by_its_swapping_nodes_whatever_its_ends():
+    """A route swaps at its interior nodes only, so a transport endpoint
+    is no swap: on an all-HQ 3x3 grid the route 0 -> 8 has five nodes and
+    three swaps, and scores two_class_fidelity(3, 0, ...), in the batch,
+    in its composition and in the memo-free reference alike."""
+    hq = NoiseClass("HQ", 0.99)
+    g = build_network(GRID, 3)
+    g = g.with_classes({v: hq for v in range(g.num_transport)})
+    request = RoutingRequest(0, 8, 1)
+    [a], blocked = allocate_batch(g, [request], UNIT, 0.0, 0.975)
+    assert (a.path, blocked) == ((0, 1, 2, 5, 8), 0)
+    assert a.fidelity == two_class_fidelity(3, 0, 0.99, 0.99, 0.975)
+    assert path_composition(g, a.path) == {hq: 3}
+    assert reference_batch(g, [request], UNIT, 0.0, 0.975, hq, LQ) == ([a], 0)
 
 
 def test_routing_memo_changes_nothing():
