@@ -186,10 +186,9 @@ def _resolve_xi(
     return tuple(values if values[-1] == 1.0 else [*values, 1.0])
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+def _fmt(value):
+    """Floats to six decimals; ``csv`` writes ``None`` as an empty field."""
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -41,7 +41,7 @@ import warnings
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, product
 from math import floor, inf, isfinite, lcm
@@ -109,6 +109,10 @@ _SHUFFLE_STREAM = 3
 HQ_LABEL = "HQ"
 LQ_LABEL = "LQ"
 
+# The type and the message noun of each numeric config field, by its
+# annotation (a string, as annotations are postponed).  A bool is no number.
+_NUMBERS = {"int": (Integral, "an integer"), "float": (Real, "a real number")}
+
 
 def default_xi_grid(n: int) -> tuple[float, ...]:
     """All multiples of ``1 / n**2`` from 0 to 1, the native upgrade fractions."""
@@ -141,12 +145,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
-        for name in ("n", "num_pair_draws", "num_class_draws", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("eta_h", "eta_l", "link_fidelity", "f_bar", "aware_weight"):
-            if not isinstance(getattr(self, name), Real):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for field in fields(self):
+            value, number = getattr(self, field.name), _NUMBERS.get(field.type)
+            if number and (isinstance(value, bool) or not isinstance(value, number[0])):
+                raise ValueError(f"{field.name} must be {number[1]}, got {value!r}")
         if self.n < 2:
             raise ValueError(f"core width must be at least 2, got {self.n}")
         if self.xi_values is not None:

@@ -11,12 +11,15 @@ chain uses ``N + 1`` links, and
 
 where ``w`` is the link Werner parameter, ``nu_g`` the swap factor of node
 class ``g`` and ``N_g`` the number of path nodes in that class.
-The networks studied here have two classes, high and low quality, and
-:func:`two_class_fidelity` spells the form out for them; the router scores
-every route with it.  :func:`end_to_end_fidelity` takes the counts ``N_g``
-of any number of classes, and :func:`iterate_swaps` folds the swaps one
-by one: both serve as cross-checks.  The closed forms agree to rounding,
-not bit for bit, as they multiply the factors in different orders.
+The form is stated once, in ``_chain``, which multiplies the class
+factors in descending (noise rate, node count) order, so its value does
+not depend on the order the classes come in.  :func:`end_to_end_fidelity`
+takes the counts ``N_g`` of any number of classes, and
+:func:`two_class_fidelity` the two classes, high and low quality, of the
+networks studied here; the router scores every route with the latter.
+Both are one call of ``_chain``, so they agree bit for bit.
+:func:`iterate_swaps` folds the swaps one by one with no closed form and
+serves as the independent cross-check: it agrees to rounding only.
 
 The noise rate must exceed 0.5 and the link fidelity must exceed 0.25,
 otherwise the swap chain has no entanglement left to track.  A direct
@@ -85,19 +88,31 @@ class NoiseClass:
         swap_noise_factor(self.eta)
 
 
+def _chain(pairs: Iterable[tuple[float, int]], link_fidelity: float) -> float:
+    """The closed form over (noise rate, node count) pairs: its one statement.
+
+    The swap factors are multiplied in descending (rate, count) order, so
+    the value is the same to the bit whatever the order of ``pairs``.
+    """
+    x = 3.0
+    nodes = 0
+    for eta, count in sorted(pairs, reverse=True):
+        if count < 0:
+            raise ValueError(f"node counts must be non-negative, got {count}")
+        x *= swap_noise_factor(eta) ** count
+        nodes += count
+    return 0.25 * (1.0 + x * werner_parameter(link_fidelity) ** (nodes + 1))
+
+
 def end_to_end_fidelity(class_counts: Mapping[NoiseClass, int], link_fidelity: float) -> float:
     """Closed-form fidelity of the pair delivered across a swap chain.
 
     ``class_counts`` gives the number of intermediate nodes of each noise
     class, as :func:`~qrepnet.routing.path_composition` counts them, and
-    ``link_fidelity`` the common fidelity of every elementary link.
+    ``link_fidelity`` the common fidelity of every elementary link.  The
+    value does not depend on the order of the classes.
     """
-    w = werner_parameter(link_fidelity) ** (sum(class_counts.values()) + 1)
-    for cls, count in class_counts.items():
-        if count < 0:
-            raise ValueError(f"node count for {cls.label} must be non-negative, got {count}")
-        w *= swap_noise_factor(cls.eta) ** count
-    return werner_fidelity(w)
+    return _chain(((cls.eta, count) for cls, count in class_counts.items()), link_fidelity)
 
 
 def two_class_fidelity(
@@ -109,23 +124,14 @@ def two_class_fidelity(
 ) -> float:
     """End-to-end fidelity over ``n_h`` high-quality and ``n_l`` low-quality nodes.
 
-    Spelled out for the two-class networks studied here, and the score of
-    every route the router serves:
+    The score of every route the router serves:
 
         F = 1/4 * (1 + 3 * nu_h**n_h * nu_l**n_l * w**(n_h + n_l + 1))
 
-    The factor of the higher noise rate (at equal rates, of the larger
-    count) is multiplied in first, so the value is the same to the bit
-    whichever class is called high quality.
+    It equals :func:`end_to_end_fidelity` of the same two classes bit for
+    bit, and is the same whichever class is called high quality.
     """
-    if n_h < 0 or n_l < 0:
-        raise ValueError("node counts must be non-negative")
-    if (eta_l, n_l) > (eta_h, n_h):
-        n_h, n_l, eta_h, eta_l = n_l, n_h, eta_l, eta_h
-    nu_h = swap_noise_factor(eta_h)
-    nu_l = swap_noise_factor(eta_l)
-    w = werner_parameter(link_fidelity)
-    return 0.25 * (1.0 + 3.0 * nu_h**n_h * nu_l**n_l * w ** (n_h + n_l + 1))
+    return _chain(((eta_h, n_h), (eta_l, n_l)), link_fidelity)
 
 
 def iterate_swaps(node_etas: Iterable[float], link_fidelity: float) -> float:

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fidelity import NoiseClass, two_class_fidelity
+from .fidelity import NoiseClass, two_class_fidelity, werner_parameter
 from .topology import NetworkGraph, NodeKind, base_network
 
 __all__ = [
@@ -592,11 +592,13 @@ def allocate_batch(
     is computed once.  A request that meets consumed edges
     takes its route on ``graph`` itself when none of them lies on it (see
     the module's docstring).  Each call adds to :data:`counters`.  An
-    endpoint that is no node of ``graph`` is a ``ValueError``, and so is a
-    threshold outside [0, 1].
+    endpoint that is no node of ``graph`` is a ``ValueError``, and so are a
+    threshold outside [0, 1] and a link fidelity that
+    :func:`~qrepnet.fidelity.werner_parameter` rejects, whatever the batch.
     """
     if not 0.0 <= fidelity_threshold <= 1.0:
         raise ValueError(f"fidelity threshold must lie in [0, 1], got {fidelity_threshold}")
+    werner_parameter(link_fidelity)
     ordered = sorted(requests, key=_theta)
     if list(map(_theta, ordered)) != list(range(1, len(ordered) + 1)):
         raise ValueError("request thetas must be exactly 1..P")

@@ -38,6 +38,7 @@ ROUTING = "src/qrepnet/routing.py"
 EXPERIMENT = "src/qrepnet/experiment.py"
 TOPOLOGY = "src/qrepnet/topology.py"
 FIDELITY = "src/qrepnet/fidelity.py"
+CLI = "src/qrepnet/cli.py"
 # The unmutated tests take about 30 s.
 TIMEOUT_S = 600
 
@@ -294,6 +295,36 @@ MUTANTS = (
         "for v in path[1:-1]:",
         "for v in path:",
         "CHANGES.md line 58: the parent's `path_composition`, which skips tier nodes only",
+    ),
+    Mutant(
+        "multiply the closed form's factors in the order given",
+        FIDELITY,
+        "for eta, count in sorted(pairs, reverse=True):",
+        "for eta, count in pairs:",
+        "CHANGES.md line 60: a closed form without its sort, whose value follows "
+        "the order of the classes",
+    ),
+    Mutant(
+        "config takes a bool as a number",
+        EXPERIMENT,
+        "if number and (isinstance(value, bool) or not isinstance(value, number[0])):",
+        "if number and not isinstance(value, number[0]):",
+        "CHANGES.md line 60: the parent's type check, to which a bool is an `Integral`",
+    ),
+    Mutant(
+        "write None into a CSV field",
+        CLI,
+        'return f"{value:.6f}" if isinstance(value, float) else value',
+        'return f"{value:.6f}" if isinstance(value, float) else str(value)',
+        "CHANGES.md line 60: the parent's `_fmt`, which writes the text `None`",
+    ),
+    Mutant(
+        "allocate_batch skips its link-fidelity check",
+        ROUTING,
+        "    werner_parameter(link_fidelity)\n",
+        "    pass\n",
+        "CHANGES.md line 60: an `allocate_batch` that checks the link fidelity "
+        "only when it scores a route",
     ),
 )
 

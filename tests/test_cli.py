@@ -45,6 +45,16 @@ def test_topology_study_outputs(tmp_path):
     assert "seed=12345" in manifest
 
 
+def test_a_mean_with_no_sample_is_an_empty_field(tmp_path):
+    """At a threshold of 1 every request is blocked, so ``summary.csv`` has
+    no mean fidelity or path length: those fields are empty, not ``None``."""
+    out = tmp_path / "o"
+    assert run(["topology-study", *FAST, "--f-bar", "1.0", "--out-dir", out]) == 0
+    assert read_rows(out / "summary.csv")[1:] == [
+        ["grid", "", "", "1.000000"], ["cylinder", "", "", "1.000000"],
+    ]
+
+
 def test_lq_sensitivity_outputs(tmp_path):
     out = tmp_path / "o"
     args = ["lq-sensitivity", "--n", "5", "--pair-draws", "2", "--class-draws", "3",

@@ -34,6 +34,7 @@ from qrepnet import (
     XiSummary,
     default_xi_grid,
     draw_pairing,
+    end_to_end_fidelity,
     run_trial,
     study_blocking,
     study_noise_awareness,
@@ -114,6 +115,18 @@ def test_config_rejects_wrong_types_and_stays_hashable(field, value):
         return
     wanted = "an iterable of real numbers" if field == "xi_values" else "a real number"
     with pytest.raises(ValueError, match=f"^{field} must be {wanted}"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, wanted", [
+    ("seed", True, "an integer"), ("num_pair_draws", True, "an integer"),
+    ("num_class_draws", False, "an integer"), ("eta_h", True, "a real number"),
+    ("f_bar", False, "a real number"),
+])
+def test_config_rejects_a_bool_as_a_number(field, value, wanted):
+    """A bool is an ``Integral``, yet no count, seed, rate or threshold: the
+    config rejects it with the message of a value of the wrong type."""
+    with pytest.raises(ValueError, match=f"^{field} must be {wanted}, got {value}$"):
         ExperimentConfig(**{field: value})
 
 
@@ -461,6 +474,7 @@ def test_memoised_scorer_equals_the_two_class_closed_form():
                             counts.get(hq, 0), counts.get(lq, 0), cfg.eta_h, eta_l,
                             cfg.link_fidelity,
                         )
+                        assert a.fidelity == end_to_end_fidelity(counts, cfg.link_fidelity)
                         scored += 1
                     if repeat:
                         # The same batch again: every score is a hit.

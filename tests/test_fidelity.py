@@ -5,6 +5,7 @@ The numeric anchors below were computed once with the step-by-step
 within two ulps) and frozen.  The closed form must reproduce them.
 """
 
+import itertools
 import random
 
 import pytest
@@ -163,6 +164,33 @@ def test_many_random_mixed_chains_against_fold():
         closed = two_class_fidelity(n_h, n_l, 0.999, 0.8, f)
         fold = iterate_swaps([0.999] * n_h + [0.8] * n_l, f)
         assert abs(closed - fold) <= 1e-12
+
+
+def test_both_closed_forms_give_the_same_bits():
+    """``two_class_fidelity`` and ``end_to_end_fidelity`` of the same two
+    classes are one statement of the closed form, so they agree bit for
+    bit, at distinct and at equal noise rates."""
+    for f in (0.975, 0.99, 0.6):
+        for eta_h, eta_l in itertools.product((0.999, 0.99, 0.9, 0.8), repeat=2):
+            for n_h, n_l in itertools.product(range(12), repeat=2):
+                comp = {NoiseClass("HQ", eta_h): n_h, NoiseClass("LQ", eta_l): n_l}
+                assert two_class_fidelity(n_h, n_l, eta_h, eta_l, f) == end_to_end_fidelity(
+                    comp, f
+                ), (n_h, n_l, eta_h, eta_l, f)
+
+
+def test_composition_does_not_depend_on_the_order_of_its_classes():
+    """Every order of the classes of a composition gives the same bits."""
+    rnd = random.Random(29)
+    for _ in range(500):
+        items = [
+            (NoiseClass(f"c{i}", rnd.choice((0.999, 0.99, 0.95, 0.9, 0.8))), rnd.randrange(13))
+            for i in range(rnd.randrange(2, 5))
+        ]
+        f = rnd.choice((0.975, 0.99, 0.9))
+        first = end_to_end_fidelity(dict(items), f)
+        for order in itertools.permutations(items):
+            assert end_to_end_fidelity(dict(order), f) == first, (order, f)
 
 
 def test_constants_exported():

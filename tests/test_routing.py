@@ -234,6 +234,22 @@ def test_allocate_batch_rejects_a_threshold_outside_the_unit_interval(threshold)
         allocate_batch(g, [RoutingRequest(4, 7, 1)], UNIT, threshold, 0.975)
 
 
+@pytest.mark.parametrize("batch", ["empty", "no_path", "routed"])
+def test_allocate_batch_checks_the_link_fidelity_whatever_the_batch(batch):
+    """An empty batch, and one whose every request is blocked for want of a
+    path, score no route, yet reject a link fidelity outside (0.25, 1] as a
+    routed batch does."""
+    g = all_lq(GRID, 2)
+    requests = [] if batch == "empty" else [RoutingRequest(4, 7, 1)]
+    if batch == "no_path":
+        # Cut source 4 off from its row's first transport node.
+        g.adjacency[4].discard(0)
+        g.adjacency[0].discard(4)
+        assert allocate_batch(g, requests, UNIT, 0.0, 0.975)[0][0].blocked is BlockReason.NO_PATH
+    with pytest.raises(ValueError, match=r"link fidelity must lie in \(0.25, 1\], got 7.0"):
+        allocate_batch(g, requests, UNIT, 0.0, 7.0)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
 def test_mapping_constructors_validate(bad):
     """The aware mapping's weight must be positive and finite when it is
