@@ -35,14 +35,23 @@ while the mapping is the same and no node cost rises, repaired on first
 use, so the searches of two graphs at most are alive.  A request reads
 its route from the route table and its score from the score memo, so
 nothing else is stored per request.
+A threshold bounds the routes worth walking: a score depends on the class
+counts alone and a cost on the counts and the destination, so every
+threshold fixes the costliest route that could still pass
+(:func:`_passing_cost`).  A search stops above that bound, and a request
+whose route would cost more is blocked below the threshold with no walk
+and no score, or for want of a path when the residual network does not
+connect its endpoints; its table entry is then a mark of the bound (see
+:func:`_beyond`), and a later call with a larger bound resumes the search.
 A request on a residual network first takes the route on the batch's start
-network: every path open on the residual network is open there too, so
-when no consumed edge lies on that route, or there is none, it is the
-answer, and only otherwise does the residual network get a search.
-Both entry points, :func:`shortest_path` and :func:`allocate_batch`, read
-the one memo, and one routine, :func:`_walk`, routes every miss.  The
-module-level :data:`counters` count batches, requests and the work done
-on memo misses by either entry point.
+network: every path open on the residual network is open there too, at
+the same cost, so when no consumed edge lies on that route, or there is
+none, it is the answer, when it costs more than the bound so does every
+residual route, and only otherwise does the residual network get a
+search.  Both entry points, :func:`shortest_path` and
+:func:`allocate_batch`, read the one memo, and one routine, :func:`_walk`,
+answers every miss.  The module-level :data:`counters` count batches,
+requests and the work done on memo misses by either entry point.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import fidelity
 from .fidelity import NoiseClass, two_class_fidelity, werner_parameter
 from .topology import NetworkGraph, NodeKind, base_network
 
@@ -78,7 +88,9 @@ WeightMapping = Callable[[float], float]
 
 DEFAULT_LQ_WEIGHT = 100.0
 
-_UNROUTED = object()
+# A route table's answer for a key it lacks: a mark (see :func:`_beyond`)
+# below every bound, which are -1 or more, so it is never trusted.
+_UNROUTED = -2
 
 _theta = attrgetter("theta")
 
@@ -163,18 +175,18 @@ def shuffle_requests(
 
 def _two_classes(
     graph: NetworkGraph, mapping: WeightMapping
-) -> tuple[tuple[float, float], tuple[int, ...], tuple[int, ...]]:
-    """A classed graph's high- and low-quality noise rates, a flag per node
-    and every node's exact integer cost; the mapping is evaluated once per
-    class.
+) -> tuple[tuple[float, float], tuple[int, int], tuple[int, ...], tuple[int, ...]]:
+    """A classed graph's high- and low-quality noise rates and exact integer
+    costs, a flag per node and every node's cost; the mapping is evaluated
+    once per class.
 
     The class of the higher noise rate, then of the smaller label, is the
-    high-quality one, and a graph of one class pairs its rate with itself.  A
-    node's flag is 1 when it belongs to the low-quality class and 0
-    otherwise, tier nodes included.  A class's weight must be positive and
-    finite, or it is a ``ValueError``, which a NaN fails too: this checks
-    the weights of any mapping, not only those :func:`noise_aware_mapping`
-    builds.
+    high-quality one, and a graph of one class pairs its rate and its cost
+    with themselves.  A node's flag is 1 when it belongs to the low-quality
+    class and 0 otherwise, tier nodes included.  A class's weight must be
+    positive and finite, or it is a ``ValueError``, which a NaN fails too:
+    this checks the weights of any mapping, not only those
+    :func:`noise_aware_mapping` builds.
     """
     transport = graph.classes[: graph.num_transport]
     distinct = set(transport)
@@ -193,7 +205,7 @@ def _two_classes(
     cost = integer_costs(weights)
     tiers = (0,) * (graph.num_nodes - len(flags))
     costs = tuple(map(cost.__getitem__, flags)) + tiers
-    return (classes[0].eta, classes[-1].eta), flags + tiers, costs
+    return (classes[0].eta, classes[-1].eta), (cost[0], cost[-1]), flags + tiers, costs
 
 
 def integer_costs(weights: Sequence[float]) -> tuple[int, ...]:
@@ -298,12 +310,16 @@ def cheapest_route(
     destination: int,
     used: int,
     search: Search,
+    bound: float = inf,
 ) -> Route | None:
-    """Cheapest path over the edges not in ``used``, ties to the smallest id sequence.
+    """Cheapest path over the edges not in ``used``, ties to the smallest id
+    sequence, or ``None`` when the source's cost to go exceeds ``bound``:
+    with the default bound, when no path exists.
 
     A reverse search from the destination expands its pending labels in
     increasing order, each label's whole bucket at once, until no label is
-    below the source's, which is then its exact cost to go.  A tier
+    below the source's, which is then its exact cost to go, or none is at
+    or below ``bound``, when the source's cost to go is above it.  A tier
     destination weighs zero, so it gives its neighbour the label being
     expanded, in a fresh bucket at that label, which is expanded next.  Any
     other tier node is a leaf whose label exceeds its one neighbour's, so it
@@ -322,12 +338,13 @@ def cheapest_route(
     :func:`_walk`, and the search resumes where it stopped.  Every
     label then bounds its node's cost to go from above, and every node that
     may still lower a neighbour's label is pending in the bucket of its own
-    label.  So a label below every pending label is final, and resuming
-    only makes more labels final: the route is the one a fresh search finds.
+    label, however an earlier call stopped.  So a label below every pending
+    label is final, and resuming, at any bound, only makes more labels
+    final: the route is the one a fresh search finds.
     """
     neighbours = frame.neighbours
     togo, labels, buckets = search
-    while labels and labels[0] < togo[source]:
+    while labels and labels[0] < togo[source] and labels[0] <= bound:
         label = heappop(labels)
         for u in buckets.pop(label):
             if togo[u] != label:
@@ -345,7 +362,8 @@ def cheapest_route(
                             bucket = buckets[via] = []
                             heappush(labels, via)
                     bucket.append(w)
-    if togo[source] == inf:
+    left = togo[source]
+    if left == inf or left > bound:
         return None
     path = [source]
     edges = 0
@@ -376,26 +394,69 @@ def _fidelity(n_h: int, n_l: int, eta_h: float, eta_l: float, link_fidelity: flo
     return two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity)
 
 
+@cache
+def _passing_cost(
+    class_costs: tuple[int, int], rates: tuple[float, float], link_fidelity: float,
+    threshold: float, count: int,
+) -> int:
+    """The costliest interior a passing route can have: the largest
+    ``c_h * n_h + c_l * n_l`` over the class counts with ``n_h + n_l <=
+    count`` that :func:`~qrepnet.fidelity.two_class_fidelity` scores at
+    ``threshold`` or above, or -1 when none passes.
+
+    A route's cost is its interior's plus its destination's own, and its
+    score depends on its interior's class counts alone, so a route that
+    costs more than this plus its destination's cost cannot pass.  The
+    closed form falls as either count grows (each factor lies in (0, 1]),
+    so the counts that pass are a staircase, walked in O(``count``)
+    scores: the most high-quality nodes that pass alone, then, one
+    low-quality node more at a time, the most that still pass.  It scores
+    through the ``fidelity`` module, not :func:`_fidelity`, whose memo
+    keeps route scores only.  Memoised for the process, so it grows with
+    the costs, rates, link fidelities and thresholds a process meets, not
+    with its draws.
+    """
+    (c_h, c_l), (eta_h, eta_l) = class_costs, rates
+
+    def passes(n_h: int, n_l: int) -> bool:
+        return fidelity.two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity) >= threshold
+
+    n_h = -1
+    while n_h < count and passes(n_h + 1, 0):
+        n_h += 1
+    best = -1
+    for n_l in range(count + 1):
+        n_h = min(n_h, count - n_l)
+        while n_h >= 0 and not passes(n_h, n_l):
+            n_h -= 1
+        if n_h < 0:
+            break
+        best = max(best, c_h * n_h + c_l * n_l)
+    return best
+
+
 class _Router(NamedTuple):
     """What serving a batch on one classed graph needs besides its requests.
 
     ``hops`` belongs to the frame: the route table for transport costs
     that are all equal, which is ``routes`` on such a graph.  The rest
-    belong to this graph: ``rates`` and ``flags`` are its high- and
-    low-quality noise rates and its flag per node, from
-    :func:`_two_classes`, which score its routes.  ``routes`` maps
-    (source, destination, residual mask) to its route, or ``None`` when
-    there is none, and ``searches`` maps (destination, residual mask) to
-    its :class:`Search`.  ``carried`` is the previous graph's
-    ``searches``, which this graph may take over after putting the nodes
-    ``lowered``, whose costs fell, back into the buckets of their
-    labels.
+    belong to this graph: ``rates``, ``class_costs`` and ``flags`` are its
+    high- and low-quality noise rates and costs and its flag per node,
+    from :func:`_two_classes`, which score and bound its routes.
+    ``routes`` maps (source, destination, residual mask) to its route,
+    ``None`` when there is none, or a mark (see :func:`_beyond`), and
+    ``searches`` maps (destination, residual mask) to its
+    :class:`Search`.  ``carried`` is the previous graph's ``searches``,
+    which this graph may take over after putting the nodes ``lowered``,
+    whose costs fell, back into the buckets of their labels.
+    ``components`` maps a residual mask to a component label per node.
     """
 
     classes: tuple[NoiseClass | None, ...]
     frame: Frame
     mapping: WeightMapping
     rates: tuple[float, float]
+    class_costs: tuple[int, int]
     flags: tuple[int, ...]
     costs: tuple[int, ...]
     routes: dict
@@ -403,6 +464,7 @@ class _Router(NamedTuple):
     carried: dict
     lowered: tuple[int, ...]
     hops: dict
+    components: dict
 
 
 @dataclass
@@ -415,11 +477,12 @@ class Counters:
     ``reused`` counts the batches the trial engine took from a lower
     threshold instead of calling :func:`allocate_batch`, so ``batches +
     reused`` is a study's batch count.  The rest count memo misses, by
-    either entry point: ``walks`` the routes computed, ``searches`` the
+    either entry point: ``walks`` the routes walked, ``searches`` the
     reverse searches started afresh, ``carried`` those taken over from the
-    previous classed graph and repaired, and ``certified`` the residual
-    routes answered by the route on the batch's start network.  A
-    route-table hit counts nothing.
+    previous classed graph and repaired, ``certified`` the residual
+    routes answered by the route on the batch's start network, and
+    ``bounded`` the misses the threshold's bound answered without a walk
+    (see :func:`_beyond`).  A route-table hit counts nothing.
     """
 
     batches: int = 0
@@ -431,6 +494,7 @@ class Counters:
     carried: int = 0
     walks: int = 0
     certified: int = 0
+    bounded: int = 0
 
 
 # Counts since the module was imported; readers take differences.
@@ -471,7 +535,7 @@ def _router(graph: NetworkGraph, frame: Frame, mapping: WeightMapping) -> _Route
         and last.mapping is mapping
     ):
         return last
-    rates, flags, costs = _two_classes(graph, mapping)
+    rates, class_costs, flags, costs = _two_classes(graph, mapping)
     hops, carried, lowered = {}, {}, ()
     if last is not None and last.frame is frame:
         hops = last.hops
@@ -480,24 +544,30 @@ def _router(graph: NetworkGraph, frame: Frame, mapping: WeightMapping) -> _Route
             lowered = tuple(v for v, (c, was) in enumerate(zip(costs, last.costs)) if c < was)
     routes = hops if len(set(costs) - {0}) == 1 else {}
     _last = _Router(
-        graph.classes, frame, mapping, rates, flags, costs, routes, {}, carried, lowered, hops
+        graph.classes, frame, mapping, rates, class_costs, flags, costs, routes, {}, carried,
+        lowered, hops, {},
     )
     return _last
 
 
-def _walk(router: _Router, source: int, destination: int, used: int) -> Route | None:
-    """Compute and store the route for (source, destination, used): the one
-    routine that routes a route-table miss, for both entry points.
+def _walk(
+    router: _Router, source: int, destination: int, used: int, limit: float = inf
+) -> Route | int | None:
+    """Compute and store the answer for (source, destination, used): the one
+    routine that answers a route-table miss, for both entry points.
 
-    An endpoint that is no node of the router's frame is a ``ValueError``.
-    The route resumes the router's search toward ``destination`` on
-    ``used``; failing that, the search the previous graph left for that
-    key, repaired for the nodes whose cost fell; failing that, a fresh one.
+    An endpoint that is no node of the router's frame is a ``ValueError``,
+    checked before any lookup by node.  The search resumes the router's
+    search toward ``destination`` on ``used``; failing that, the search the
+    previous graph left for that key, repaired for the nodes whose cost
+    fell; failing that, a fresh one.  It stops once the route costs more
+    than ``limit``, the costliest interior that could pass (see
+    :func:`_passing_cost`), plus the destination's own cost; then
+    :func:`_beyond` answers without a walk.
     """
     for v in (source, destination):
         if not 0 <= v < len(router.frame.neighbours):
             raise ValueError(f"node {v} is not in the network")
-    counters.walks += 1
     key = (destination, used)
     search = router.searches.get(key)
     if search is None:
@@ -524,9 +594,54 @@ def _walk(router: _Router, source: int, destination: int, used: int) -> Route | 
                         heappush(labels, label)
                     buckets[label].append(u)
         router.searches[key] = search
-    route = cheapest_route(router.frame, router.costs, source, destination, used, search)
+    bound = limit + router.costs[destination]
+    route = cheapest_route(router.frame, router.costs, source, destination, used, search, bound)
+    # No route with labels still pending, or with a finite source label,
+    # means the source's cost to go is above the bound, not infinite.
+    if route is None and (search.labels or search.togo[source] < inf):
+        return _beyond(router, source, destination, used, limit)
+    counters.walks += 1
     router.routes[source, destination, used] = route
     return route
+
+
+def _beyond(router: _Router, source: int, destination: int, used: int, limit: int) -> int | None:
+    """Store and return the answer for a key whose route, if any, costs
+    more than ``limit`` plus the destination's own cost.
+
+    It is ``None`` when no path joins the endpoints on ``used``, and
+    otherwise a mark, the int ``limit``: a route exists and cannot pass at
+    any threshold whose bound is ``limit`` or less.  A mark holds for its
+    graph's costs, so it never enters the ``hops`` table, which graphs of
+    other cost scales share; ``None`` holds for the frame.  Connectivity
+    is read from one component labelling per residual mask, which dies
+    with the router.
+    """
+    counters.bounded += 1
+    components = router.components.get(used)
+    if components is None:
+        components = router.components[used] = _components(router.frame, used)
+    route = limit if components[source] == components[destination] else None
+    if route is None or router.routes is not router.hops:
+        router.routes[source, destination, used] = route
+    return route
+
+
+def _components(frame: Frame, used: int) -> list[int]:
+    """A label per node, shared by the nodes that the edges not in ``used``
+    connect: its component's least node."""
+    neighbours = frame.neighbours
+    label = [-1] * len(neighbours)
+    for root in range(len(label)):
+        if label[root] < 0:
+            label[root] = root
+            queue = [root]
+            for u in queue:  # the queue grows while it is read
+                for w, bit in neighbours[u]:
+                    if label[w] < 0 and not used & bit:
+                        label[w] = root
+                        queue.append(w)
+    return label
 
 
 def shortest_path(
@@ -550,7 +665,9 @@ def shortest_path(
     frame, used = network_frame(graph)
     router = _router(graph, frame, mapping)
     key = (request.source, request.destination, used)
-    route = router.routes[key] if key in router.routes else _walk(router, *key)
+    route = router.routes.get(key, _UNROUTED)
+    if route.__class__ is int:  # a miss, or a mark, which holds no route
+        route = _walk(router, *key)
     return None if route is None else route.path
 
 
@@ -581,20 +698,25 @@ def allocate_batch(
     of blocked requests.  ``graph`` itself is never mutated.  Routes come
     from the route table of the module's memo of the last classed graph
     (see :func:`_router`), which :func:`shortest_path` shares, and a miss
-    is routed by :func:`_walk`.  So consecutive calls on one graph,
+    is answered by :func:`_walk`.  So consecutive calls on one graph,
     whatever their thresholds, route each (endpoints, residual network)
     once, and all routes toward one destination on one residual network
     share one resumed reverse search, which a graph whose node costs fell
     from the previous graph's carries over; a call at another link
-    fidelity routes through the same table.  Each routed request is scored by its high-
-    and low-quality node counts through the process's score memo
-    (:func:`_fidelity`), so each (class counts, noise rates, link fidelity)
-    is computed once.  A request that meets consumed edges
+    fidelity routes through the same table.  A search stops above the
+    cost of the costliest route that could pass the threshold
+    (:func:`_passing_cost`), so a request whose route would cost more is
+    blocked ``BELOW_THRESHOLD`` with no walk and no score, or ``NO_PATH``
+    when its endpoints are not connected.  Each routed request is scored
+    by its high- and low-quality node counts through the process's score
+    memo (:func:`_fidelity`), so each (class counts, noise rates, link
+    fidelity) is computed once.  A request that meets consumed edges
     takes its route on ``graph`` itself when none of them lies on it (see
     the module's docstring).  Each call adds to :data:`counters`.  An
     endpoint that is no node of ``graph`` is a ``ValueError``, and so are a
     threshold outside [0, 1] and a link fidelity that
-    :func:`~qrepnet.fidelity.werner_parameter` rejects, whatever the batch.
+    :func:`~qrepnet.fidelity.werner_parameter` rejects, whatever the batch;
+    both are checked before the graph is read.
     """
     if not 0.0 <= fidelity_threshold <= 1.0:
         raise ValueError(f"fidelity threshold must lie in [0, 1], got {fidelity_threshold}")
@@ -608,6 +730,8 @@ def allocate_batch(
     routes = router.routes
     eta_h, eta_l = router.rates
     flag = router.flags.__getitem__
+    limit = _passing_cost(router.class_costs, router.rates, link_fidelity, fidelity_threshold,
+                          graph.num_transport)
     used = start
     counters.batches += 1
     counters.requests += len(ordered)
@@ -617,24 +741,30 @@ def allocate_batch(
         source, destination = request.source, request.destination
         key = (source, destination, used)
         route = routes.get(key, _UNROUTED)
-        if route is _UNROUTED:
+        # A miss, or a mark (an int) that a lower bound than this one left.
+        if route.__class__ is int and route < limit:
             route = routes.get((source, destination, start), _UNROUTED)
-            if route is _UNROUTED:
-                route = _walk(router, source, destination, start)
+            if route.__class__ is int and route < limit:
+                route = _walk(router, source, destination, start, limit)
             if used != start:
-                # Every path open on ``used`` is open on ``start``, so the
-                # start route is the answer when it is None or avoids
-                # every consumed edge; only otherwise does ``used`` need
-                # a search of its own.
-                if route is None or not route.edges & used:
+                # Every path open on ``used`` is open on ``start`` and costs
+                # the same there, so the start route is the answer when it
+                # is None or avoids every consumed edge, and a start route
+                # above the bound leaves only the endpoints' connectivity
+                # on ``used`` to find; only otherwise does ``used`` need a
+                # search of its own.
+                if route.__class__ is int:
+                    route = _beyond(router, source, destination, used, limit)
+                elif route is None or not route.edges & used:
                     counters.certified += 1
                     routes[key] = route
                 else:
-                    route = _walk(router, source, destination, used)
+                    route = _walk(router, source, destination, used, limit)
+        reason = BlockReason.BELOW_THRESHOLD
         if route is None:
             reason = BlockReason.NO_PATH
             no_path += 1
-        else:
+        elif route.__class__ is not int:  # a mark needs no walk and no score
             path = route.path
             # The swapping nodes are the interior ones, whatever kind the ends are.
             inner = path[1:-1]
@@ -645,7 +775,6 @@ def allocate_batch(
                 used |= route.edges
                 allocations.append(PathAllocation(request, path, f, None))
                 continue
-            reason = BlockReason.BELOW_THRESHOLD
         allocations.append(PathAllocation(request, None, None, reason))
         blocked += 1
     counters.no_path += no_path

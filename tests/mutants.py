@@ -55,8 +55,8 @@ MUTANTS = (
     Mutant(
         "accept every start route",
         ROUTING,
-        "if route is None or not route.edges & used:",
-        "if True:",
+        "elif route is None or not route.edges & used:",
+        "elif True:",
         "CHANGES.md line 43: accepting every start route (skipping the "
         "`edges & used` check)",
     ),
@@ -325,6 +325,42 @@ MUTANTS = (
         "    pass\n",
         "CHANGES.md line 60: an `allocate_batch` that checks the link fidelity "
         "only when it scores a route",
+    ),
+    Mutant(
+        "prune one label early",
+        ROUTING,
+        "and labels[0] <= bound:",
+        "and labels[0] < bound:",
+        "CHANGES.md line 61: a search that stops at a label equal to its bound",
+    ),
+    Mutant(
+        "leave a transport destination's own cost out of the bound",
+        ROUTING,
+        "    bound = limit + router.costs[destination]\n",
+        "    bound = limit\n",
+        "CHANGES.md line 61: a bound of the interior's cost alone",
+    ),
+    Mutant(
+        "report NO_PATH without the connectivity test",
+        ROUTING,
+        "route = limit if components[source] == components[destination] else None",
+        "route = None",
+        "CHANGES.md line 61: every request above the bound blocked for want of a path",
+    ),
+    Mutant(
+        "let an above-bound mark enter the frame-shared hops table",
+        ROUTING,
+        "if route is None or router.routes is not router.hops:",
+        "if True:",
+        "CHANGES.md line 61: marks stored in `hops`, whose graphs differ in cost scale",
+    ),
+    Mutant(
+        "take an exhausted search above the bound for no path",
+        ROUTING,
+        "if route is None and (search.labels or search.togo[source] < inf):",
+        "if route is None and search.labels:",
+        "CHANGES.md line 61: a source left with a finite label above the bound "
+        "reported `NO_PATH` once its search ran out of labels",
     ),
 )
 

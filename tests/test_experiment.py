@@ -636,9 +636,24 @@ def test_routing_memo_holds_one_cost_vector(monkeypatch, in_process):
     for (destination, used), search in last.searches.items():
         for source in map(graph.source_id, range(graph.n)):
             fresh = routing._search(last.frame, destination)
+            route = cheapest_route(last.frame, last.costs, source, destination, used, fresh)
             assert cheapest_route(
                 last.frame, last.costs, source, destination, used, search
-            ) == cheapest_route(last.frame, last.costs, source, destination, used, fresh)
+            ) == route
+            if route is None:
+                continue
+            # A search stopped one below the route's cost finds no route
+            # and leaves no label at or below that bound pending; resumed
+            # unbounded, it finds the route a fresh search finds.
+            cost = sum(last.costs[v] for v in route.path[1:])
+            stopped = routing._search(last.frame, destination)
+            assert cheapest_route(
+                last.frame, last.costs, source, destination, used, stopped, cost - 1
+            ) is None
+            assert min(stopped.labels, default=math.inf) > cost - 1
+            assert cheapest_route(
+                last.frame, last.costs, source, destination, used, stopped
+            ) == route
 
 
 def test_each_destination_and_residual_is_searched_once_per_graph(
@@ -652,7 +667,7 @@ def test_each_destination_and_residual_is_searched_once_per_graph(
     route = routing.cheapest_route
 
     def counted(*args):
-        _, _, _, destination, used, search = args
+        _, _, _, destination, used, search, _ = args
         alive.append((routing._last, search))
         states.setdefault((id(routing._last), destination, used), set()).add(id(search))
         return route(*args)
@@ -838,9 +853,10 @@ def test_routing_counters_see_carried_searches(monkeypatch):
     counted = routing.counters
     batches = len(cfg.xi_values) * cfg.num_pair_draws * cfg.num_class_draws
     assert (counted.batches, counted.requests) == (batches, cfg.n * batches)
-    assert counted.searches > 0 and counted.carried > 0
-    # Each search taken, fresh or carried, serves a route computed at once.
-    assert counted.walks >= counted.searches + counted.carried
+    assert counted.searches > 0 and counted.carried > 0 and counted.bounded > 0
+    # Each search taken, fresh or carried, serves at once a route walked or
+    # a miss that the threshold's bound answers.
+    assert counted.walks + counted.bounded >= counted.searches + counted.carried
 
 
 def test_blocking_work_counts_are_pinned(monkeypatch):
@@ -861,12 +877,14 @@ def test_blocking_work_counts_are_pinned(monkeypatch):
     routing._fidelity.cache_clear()
     study_blocking(cfg)
     # 936 batches: 470 are taken from a lower threshold, whose allocations
-    # all pass the next one, and only the 466 others are routed.
+    # all pass the next one, and only the 466 others are routed.  Most
+    # blocked routes cost more than any route that could pass, so the bound
+    # answers them with no walk and no score.
     assert routing.counters == routing.Counters(
         batches=466, requests=2330, no_path=105, below_threshold=1715, reused=470,
-        searches=150, carried=573, walks=1031, certified=149,
+        searches=122, carried=453, walks=365, certified=103, bounded=722,
     )
-    assert routing._fidelity.cache_info().currsize == 57
+    assert routing._fidelity.cache_info().currsize == 56
 
 
 def test_stress_work_counts_are_pinned(monkeypatch):
@@ -887,14 +905,16 @@ def test_stress_work_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(routing, "_last", None)
     routing._fidelity.cache_clear()
     study_blocking(cfg, (0.53,))
-    # One threshold reuses no batch.  A residual request first walks the
+    # One threshold reuses no batch.  A residual request first takes the
     # start network's route, which needs no search of its own when it
-    # avoids every consumed edge, so walks outnumber the searches saved.
+    # avoids every consumed edge or costs more than the bound.  The bound
+    # answers most blocked requests, whose routes are neither walked nor
+    # scored.
     assert routing.counters == routing.Counters(
         batches=252, requests=2520, no_path=34, below_threshold=2173, reused=0,
-        searches=409, carried=572, walks=1445, certified=143,
+        searches=257, carried=564, walks=397, certified=132, bounded=1079,
     )
-    assert routing._fidelity.cache_info().currsize == 159
+    assert routing._fidelity.cache_info().currsize == 103
 
 
 def test_sweep_memory_is_flat_in_class_draws(in_process):

@@ -1,5 +1,6 @@
 """Tests for node-weighted shortest paths and sequential batch allocation."""
 
+import dataclasses
 import itertools
 import random
 from dataclasses import replace
@@ -31,6 +32,7 @@ from qrepnet import (
 )
 from qrepnet import experiment, routing
 from qrepnet.routing import integer_costs
+from qrepnet.topology import base_network
 
 from oracles import branch_and_bound_best, brute_force_best, node_weight, reference_batch
 
@@ -234,12 +236,13 @@ def test_allocate_batch_rejects_a_threshold_outside_the_unit_interval(threshold)
         allocate_batch(g, [RoutingRequest(4, 7, 1)], UNIT, threshold, 0.975)
 
 
-@pytest.mark.parametrize("batch", ["empty", "no_path", "routed"])
+@pytest.mark.parametrize("batch", ["empty", "no_path", "routed", "unclassed"])
 def test_allocate_batch_checks_the_link_fidelity_whatever_the_batch(batch):
     """An empty batch, and one whose every request is blocked for want of a
     path, score no route, yet reject a link fidelity outside (0.25, 1] as a
-    routed batch does."""
-    g = all_lq(GRID, 2)
+    routed batch does.  The link fidelity is checked before the graph is
+    read, so a graph with an unclassed node is rejected for it too."""
+    g = build_network(GRID, 2) if batch == "unclassed" else all_lq(GRID, 2)
     requests = [] if batch == "empty" else [RoutingRequest(4, 7, 1)]
     if batch == "no_path":
         # Cut source 4 off from its row's first transport node.
@@ -823,3 +826,151 @@ def test_batch_is_deterministic():
     )
     runs = [allocate_batch(g, reqs, UNIT, 0.0, 0.975) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+# ---------------------------------------------------------------------------
+# the threshold's bound
+
+
+def brute_force_passing_cost(class_costs, rates, link_fidelity, threshold, count):
+    """The largest interior cost over every class count pair that passes."""
+    (c_h, c_l), (eta_h, eta_l) = class_costs, rates
+    return max(
+        (
+            c_h * n_h + c_l * n_l
+            for n_h in range(count + 1)
+            for n_l in range(count + 1 - n_h)
+            if two_class_fidelity(n_h, n_l, eta_h, eta_l, link_fidelity) >= threshold
+        ),
+        default=-1,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_bound_is_the_costliest_passing_interior(n):
+    """The bound is the brute-force maximum over all class counts, for
+    both mappings, an aware weight whose integer costs are not 1 and 100,
+    noise rates that differ and that are equal, mixed and one-class graphs,
+    several link fidelities and thresholds, one of them a score exactly."""
+    base = build_network(GRID, n)
+    half = {v: HQ if v % 2 else LQ for v in range(base.num_transport)}
+    for (eta_h, eta_l), mapping, link_fidelity in itertools.product(
+        ((0.999, 0.8), (0.9, 0.9)),
+        (UNIT, noise_aware_mapping(0.8), noise_aware_mapping(0.8, 0.1)),
+        (0.9, 0.975, 1.0),
+    ):
+        hq, lq = NoiseClass("HQ", eta_h), NoiseClass("LQ", eta_l)
+        for graph in (
+            base.with_classes({v: hq if cls is HQ else lq for v, cls in half.items()}),
+            base.with_classes({v: hq for v in half}),
+        ):
+            rates, class_costs, _, _ = routing._two_classes(graph, mapping)
+            exact = two_class_fidelity(2, 1, *rates, link_fidelity)
+            for threshold in (0.0, 0.5, 0.53, 0.7, 0.8, 0.99, exact):
+                key = (class_costs, rates, link_fidelity, threshold, graph.num_transport)
+                assert routing._passing_cost(*key) == brute_force_passing_cost(*key)
+    assert routing._passing_cost((1, 1), (0.999, 0.8), 0.975, 0.99, 9) == -1
+
+
+def test_a_route_that_costs_exactly_the_bound_passes():
+    """The bound counts a transport destination's own cost, and a route
+    whose cost equals the bound passes.  At a threshold equal to the link
+    fidelity only a route with no swap passes (bound 0): a transport node
+    next to a tier destination reaches it.  At a threshold equal to the
+    score of two swaps, a transport destination three hops away is
+    reached over two swapping nodes, at a cost of 3 with its own."""
+    graph = build_network(GRID, 3).with_classes({v: HQ for v in range(9)})
+    cases = [
+        (0.975, RoutingRequest(2, graph.destination_id(0), 1), (2, graph.destination_id(0))),
+        (two_class_fidelity(2, 0, HQ.eta, HQ.eta, 0.975), RoutingRequest(0, 5, 1), (0, 1, 2, 5)),
+    ]
+    for threshold, request, path in cases:
+        for mapping in (UNIT, noise_aware_mapping(LQ.eta)):
+            routing._last = None
+            allocations, blocked = allocate_batch(graph, [request], mapping, threshold, 0.975)
+            assert allocations[0].path == path and blocked == 0
+            assert (allocations, blocked) == reference_batch(
+                graph, [request], mapping, threshold, 0.975, HQ, LQ
+            )
+
+
+@settings(max_examples=60)
+@given(residual_networks(), st.sampled_from(WEIGHTS), st.data())
+def test_bounded_searches_match_the_reference_in_any_threshold_order(residuals, mapping, data):
+    """Requests served one by one in a random order at random thresholds
+    through the shared searches of one memo get the reference's answer: the
+    route and its score, or the block reason.  Every source goes to one
+    destination at two thresholds, and at n=3 any two nodes, tier or
+    transport, are paired too.  So a search stopped at one bound and
+    resumed at a larger or smaller one, and a mark met at a larger bound
+    than its own, answer as a fresh search would."""
+    graph = residuals[0]
+    thresholds = st.sampled_from((0.0, 0.3, 0.45, 0.53, 0.7, 0.8, 0.9, 0.99))
+    destination = data.draw(st.sampled_from([graph.destination_id(r) for r in range(graph.n)]))
+    queries = [
+        (i, source, destination, data.draw(thresholds))
+        for i in range(len(residuals))
+        for source in map(graph.source_id, range(graph.n))
+        for _ in range(2)
+    ]
+    if graph.n == 3:
+        nodes = st.sampled_from(range(graph.num_nodes))
+        indices = st.integers(0, len(residuals) - 1)
+        queries += data.draw(st.lists(
+            st.tuples(indices, nodes, nodes, thresholds).filter(lambda q: q[1] != q[2]),
+            max_size=12,
+        ))
+    routing._last = None
+    for i, source, destination, threshold in data.draw(st.permutations(queries)):
+        request = [RoutingRequest(source, destination, 1)]
+        g = residuals[i]
+        assert allocate_batch(g, request, mapping, threshold, 0.975) == reference_batch(
+            g, request, mapping, threshold, 0.975, HQ, LQ
+        )
+
+
+def test_enumerated_n3_batches_match_the_reference_through_one_memo():
+    """At n=3 every request sequence (3! pairings x 3! orders) on every
+    upgrade count of two class draws per topology and mapping, served as
+    the trial engine serves them, through one memo: class draw by class
+    draw, xi ascending and thresholds ascending.  Every batch equals the
+    exhaustive, memo-free ``reference_batch``, block reasons included.
+    The thresholds are the default three and 0.99, which nothing passes
+    at n=3 (its bound is -1), so bounded, carried and resumed searches
+    and marks all serve some batch."""
+    thresholds = (0.53, 0.7, 0.8, 0.99)
+    rng = random.Random(30)
+    routing._last = None
+    before = dataclasses.replace(routing.counters)
+    reasons = set()
+    for topology, name in itertools.product((GRID, CYLINDER), MAPPINGS):
+        cfg = ExperimentConfig(topology=topology, n=3, mapping=name)
+        hq, lq = cfg.hq_class(), cfg.lq_class()
+        mapping = cfg.weight_mapping()
+        base = base_network(topology, 3)
+        sequences = [
+            [
+                RoutingRequest(base.source_id(row), base.destination_id(pairing[row]), theta)
+                for theta, row in enumerate(order, 1)
+            ]
+            for pairing in itertools.permutations(range(3))
+            for order in itertools.permutations(range(3))
+        ]
+        for _ in range(2):
+            upgrades = rng.sample(range(9), 9)
+            for k in range(10):
+                classes = tuple(hq if v in upgrades[:k] else lq for v in range(9))
+                graph = replace(base, classes=classes + base.classes[9:])
+                rates, class_costs, _, _ = routing._two_classes(graph, mapping)
+                assert routing._passing_cost(class_costs, rates, 0.975, 0.99, 9) == -1
+                for requests in sequences:
+                    for threshold in thresholds:
+                        served = allocate_batch(graph, requests, mapping, threshold, 0.975)
+                        assert served == reference_batch(
+                            graph, requests, mapping, threshold, 0.975, hq, lq
+                        )
+                        reasons |= {a.blocked for a in served[0]}
+    assert reasons == {None, BlockReason.NO_PATH, BlockReason.BELOW_THRESHOLD}
+    after = routing.counters
+    assert after.bounded > before.bounded and after.carried > before.carried
+    assert after.walks + after.bounded > before.walks + before.bounded + after.searches - before.searches
